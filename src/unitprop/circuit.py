@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .cnf import ENUMERATION_LIMIT
+
 GATE_KINDS = ("and", "or", "not", "tie", "const0", "const1")
 _UNARY = ("not", "tie")
 _CONST = ("const0", "const1")
@@ -172,13 +174,17 @@ def validate_monotone(circ: Circuit) -> bool:
     return all(g.kind != "not" for g in circ.gates)
 
 
-def compute_table(circ: Circuit, domain: Iterable[Sequence[int]] | None = None,
-                  max_inputs: int = 24) -> dict[tuple[int, ...], int]:
-    """Truth table over all of {0,1}^inputs, or over an explicit domain."""
+def compute_table(circ: Circuit,
+                  domain: Iterable[Sequence[int]] | None = None) -> dict[tuple[int, ...], int]:
+    """Truth table over all of {0,1}^inputs, or over an explicit domain.
+
+    The full table is refused above ``2 * ENUMERATION_LIMIT`` inputs, the
+    indicator bits of the largest enumerable variable set.
+    """
     if domain is None:
         n = len(circ.inputs)
-        if n > max_inputs:
-            raise ValueError(f"refusing to enumerate over {n} inputs (> {max_inputs})")
+        if n > 2 * ENUMERATION_LIMIT:
+            raise ValueError(f"refusing to enumerate over {n} inputs (> {2 * ENUMERATION_LIMIT})")
         domain = [tuple((code >> (n - 1 - i)) & 1 for i in range(n)) for code in range(2 ** n)]
     vectors = [tuple(int(bool(b)) for b in v) for v in domain]
     results = evaluate_batch(circ, vectors)

@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 from .cnf import (
-    CnfFormula,
+    lit_key,
     parse_dimacs,
     propagate_staged,
     render_lit,
+    resolve_variable,
     restrict,
 )
 from .circuit import format_circuit, parse_circuit, prune_dead_gates
@@ -45,71 +46,42 @@ def _emit(text: str, target: str | None) -> None:
         Path(target).write_text(text, encoding="utf-8")
 
 
-def _literals_in_order(result, names) -> str:
-    parts = []
-    for stage in result.stages:
-        parts.extend(render_lit(l, names) for l in sorted(stage, key=lambda l: (abs(l), l < 0)))
-    return " ".join(parts)
+def _render_stage(stage, names) -> str:
+    return " ".join(render_lit(l, names) for l in sorted(stage, key=lit_key))
 
 
 def cmd_propagate(args) -> int:
     formula = parse_dimacs(_read(args.cnf))
     result = propagate_staged(formula)
+    rendered = [_render_stage(stage, formula.names) for stage in result.stages]
     if args.trace:
-        for k, stage in enumerate(result.stages, start=1):
-            lits = " ".join(render_lit(l, formula.names)
-                            for l in sorted(stage, key=lambda l: (abs(l), l < 0)))
+        for k, lits in enumerate(rendered, start=1):
             print(f"U{k}:" + (f" {lits}" if lits else ""))
     if result.is_bottom:
         print("UNSAT(UP)")
     else:
-        print(_literals_in_order(result, formula.names))
+        print(" ".join(lits for lits in rendered if lits))
     return 0
-
-
-def _parse_variable_list(text: str, formula: CnfFormula) -> list[int]:
-    by_name = {name: v for v, name in formula.names.items()}
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token in by_name:
-            out.append(by_name[token])
-        elif token.isdigit():
-            out.append(int(token))
-        else:
-            raise ValueError(f"unknown variable {token!r}")
-    return out
 
 
 def cmd_reify(args) -> int:
     formula = parse_dimacs(_read(args.cnf))
     if args.inject:
-        injected = reify_injected(formula, _parse_variable_list(args.inject, formula))
+        tokens = (token.strip() for token in args.inject.split(","))
+        chosen = [resolve_variable(token, formula.names) for token in tokens if token]
+        injected = reify_injected(formula, chosen)
     else:
         injected = reify(formula)
     _emit(format_reified(injected), args.output)
     return 0
 
 
-def _parse_literal(text: str, formula: CnfFormula) -> int:
-    raw = text.strip()
-    negative = raw.startswith("-") or raw.startswith("~")
-    name = raw[1:] if negative else raw
-    by_name = {n: v for v, n in formula.names.items()}
-    if name in by_name:
-        var = by_name[name]
-    elif name.isdigit():
-        var = int(name)
-    else:
-        raise ValueError(f"unknown literal {text!r}")
-    return -var if negative else var
-
-
 def cmd_failed_literal(args) -> int:
     formula = parse_dimacs(_read(args.cnf))
-    lit = _parse_literal(args.literal, formula)
+    raw = args.literal.strip()
+    negative = raw.startswith("-") or raw.startswith("~")
+    var = resolve_variable(raw[1:] if negative else raw, formula.names)
+    lit = -var if negative else var
     if abs(lit) not in formula.variables:
         raise ValueError(f"variable of {args.literal!r} does not occur in the formula")
     direct = propagate_staged(restrict(formula, [lit]), early_exit=True).is_bottom

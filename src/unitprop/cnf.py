@@ -19,6 +19,9 @@ from typing import Iterable, Iterator, Mapping
 Lit = int
 Clause = frozenset
 
+# largest variable count enumerated exhaustively (3^12 = 531441 assignments)
+ENUMERATION_LIMIT = 12
+
 
 def neg(lit: Lit) -> Lit:
     """Negation of a literal; an involution."""
@@ -53,6 +56,16 @@ def render_lit(lit: Lit, names: Mapping[int, str] | None = None) -> str:
     return name if lit > 0 else "-" + name
 
 
+def resolve_variable(token: str, names: Mapping[int, str] | None = None) -> int:
+    """Variable id of a display name from ``names``, or of a decimal id."""
+    by_name = {name: v for v, name in (names or {}).items()}
+    if token in by_name:
+        return by_name[token]
+    if token.isdigit():
+        return int(token)
+    raise ValueError(f"unknown variable: {token!r}")
+
+
 class CnfFormula:
     """Immutable CNF formula: a set of clauses plus an optional symbol table.
 
@@ -80,9 +93,6 @@ class CnfFormula:
     def size(self) -> int:
         """Total number of literal occurrences."""
         return sum(len(c) for c in self.clauses)
-
-    def name_of(self, var: int) -> str:
-        return self.names.get(var, str(var))
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
@@ -165,10 +175,13 @@ def iter_assignments(variables: Iterable[int]) -> Iterator[PartialAssignment]:
     """All consistent partial assignments over ``variables``.
 
     Deterministic order: ternary counting, first variable most significant,
-    digits meaning unassigned / true / false.  3**n assignments total.
+    digits meaning unassigned / true / false.  3**n assignments total; more
+    than ``ENUMERATION_LIMIT`` variables are refused.
     """
     order = sorted(set(variables))
     n = len(order)
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(f"refusing to enumerate over {n} variables (> {ENUMERATION_LIMIT})")
     for code in range(3 ** n):
         lits = []
         rest = code

@@ -27,9 +27,10 @@ from .cnf import (
     lit_key,
     parse_dimacs,
     propagate_staged,
+    resolve_variable,
     restrict,
 )
-from .reify import ReifiedFormula, reify_injected
+from .reify import ReifiedFormula, clash_clauses, reify_injected
 
 
 class Filtering(enum.Enum):
@@ -58,6 +59,14 @@ class MatchingProtocolError(RuntimeError):
     """Propagation failed where a matching function was being read off."""
 
 
+def _input_set(inputs: Iterable[int]) -> frozenset[int]:
+    inputs = frozenset(inputs)
+    for v in inputs:
+        if not isinstance(v, int) or v < 1:
+            raise ValueError(f"bad input variable: {v!r}")
+    return inputs
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Formula, input variable set, output variable.
@@ -72,10 +81,7 @@ class Propagator:
     output: int
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        for v in self.inputs:
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"bad input variable: {v!r}")
+        object.__setattr__(self, "inputs", _input_set(self.inputs))
         if not isinstance(self.output, int) or self.output < 1:
             raise ValueError(f"bad output variable: {self.output!r}")
 
@@ -92,10 +98,7 @@ class NuPropagator:
     formula: CnfFormula
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        for v in self.inputs:
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"bad input variable: {v!r}")
+        object.__setattr__(self, "inputs", _input_set(self.inputs))
 
 
 @dataclass(frozen=True)
@@ -155,12 +158,6 @@ def eval_nu(nu: NuPropagator, assignment) -> Matching:
     return Matching.YES if res.is_bottom else Matching.NO
 
 
-def staged_production(prop: Propagator, assignment) -> frozenset[Lit]:
-    """Literal set accumulated by the staged run, failure or not."""
-    lits = _check_input_scope(prop.inputs, assignment)
-    return _run(prop.formula, lits).produced
-
-
 # --- conversions ---------------------------------------------------------------
 
 def _fresh_var(*sources: Iterable[int]) -> int:
@@ -186,14 +183,12 @@ def propagator_to_nu(prop: Propagator) -> NuPropagator:
     return NuPropagator(prop.inputs, blocked)
 
 
-def _fail_clauses(reified: ReifiedFormula, fail_var: int):
-    n = reified.n
-    for v in reified.index.base_vars:
-        yield frozenset((
-            -reified.index.id_of(v, n + 1, True),
-            -reified.index.id_of(v, n + 1, False),
-            fail_var,
-        ))
+def _mirror_with_fail(formula: CnfFormula, inputs: frozenset[int]):
+    """Mirror with ``inputs`` wired in, plus a fresh variable read off its clashes."""
+    mirrored = reify_injected(formula, inputs & formula.variables)
+    fail = _fresh_var(mirrored.formula.variables, inputs)
+    clauses = mirrored.formula.clauses + clash_clauses(mirrored, fail)
+    return mirrored, CnfFormula(clauses, names=mirrored.formula.names), fail
 
 
 def nu_to_propagator(nu: NuPropagator) -> Propagator:
@@ -205,23 +200,16 @@ def nu_to_propagator(nu: NuPropagator) -> Propagator:
     fails.  Input variables outside the formula are kept as inputs but have
     nothing to be wired into (they cannot contribute to failure).
     """
-    inject = nu.inputs & nu.formula.variables
-    mirrored = reify_injected(nu.formula, inject)
-    out = _fresh_var(mirrored.formula.variables, nu.inputs)
-    names = dict(mirrored.formula.names)
-    clauses = mirrored.formula.clauses + tuple(_fail_clauses(mirrored, out))
-    return Propagator(CnfFormula(clauses, names=names), nu.inputs, out)
+    _, formula, out = _mirror_with_fail(nu.formula, nu.inputs)
+    return Propagator(formula, nu.inputs, out)
 
 
 def reify_propagator(prop: Propagator) -> ReifiedPropagator:
     """Mirror-backed counterpart with true/false/fail outputs."""
     if not prop.inputs <= prop.formula.variables or prop.output not in prop.formula.variables:
         raise ValueError("inputs and output must be variables of the formula")
-    mirrored = reify_injected(prop.formula, prop.inputs)
+    mirrored, formula, fail = _mirror_with_fail(prop.formula, prop.inputs)
     n = mirrored.n
-    fail = _fresh_var(mirrored.formula.variables, prop.inputs)
-    clauses = mirrored.formula.clauses + tuple(_fail_clauses(mirrored, fail))
-    formula = CnfFormula(clauses, names=mirrored.formula.names)
     return ReifiedPropagator(
         formula=formula,
         inputs=prop.inputs,
@@ -327,7 +315,6 @@ def format_assignment(assignment, order: Sequence[int],
 def parse_assignment(text: str, variables: Iterable[int],
                      names: Mapping[int, str] | None = None) -> PartialAssignment:
     """Parse ``v1=1,v2=x`` style assignment strings (values 1, 0 or x)."""
-    by_name = {name: v for v, name in (names or {}).items()}
     universe = frozenset(variables)
     lits = []
     text = text.strip()
@@ -336,12 +323,7 @@ def parse_assignment(text: str, variables: Iterable[int],
             name, eq, value = token.strip().partition("=")
             if not eq or value not in ("0", "1", "x"):
                 raise ValueError(f"bad assignment token: {token!r}")
-            if name in by_name:
-                var = by_name[name]
-            elif name.isdigit():
-                var = int(name)
-            else:
-                raise ValueError(f"unknown variable: {name!r}")
+            var = resolve_variable(name, names)
             if var not in universe:
                 raise ValueError(f"variable {name!r} is not an input")
             if value == "1":
@@ -430,6 +412,8 @@ class FunctionTable:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(f"table row needs 3 columns, got {len(row)}: {','.join(row)!r}")
             tokens = [t.partition("=") for t in row[0].split(",")]
             row_names = [name for name, _, _ in tokens]
             if variables is None:
@@ -458,10 +442,8 @@ class FunctionTable:
         return cls(variables, rows, names=names)
 
 
-def tabulate(prop: Propagator, max_inputs: int = 12) -> FunctionTable:
+def tabulate(prop: Propagator) -> FunctionTable:
     """Materialize the filtering function on all 3^|inputs| assignments."""
-    if len(prop.inputs) > max_inputs:
-        raise ValueError(f"refusing to enumerate over {len(prop.inputs)} inputs (> {max_inputs})")
     order = tuple(sorted(prop.inputs))
     rows = {}
     for assignment in iter_assignments(order):

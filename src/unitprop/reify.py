@@ -135,20 +135,18 @@ class ReifiedFormula:
 
     ``emissions`` records every clause in definition order together with its
     role; the formula itself deduplicates, so the ledger is the authority for
-    the counting properties.  ``source`` is kept for convenience and ignored
-    by equality (serialization does not carry it).
+    the counting properties.
     """
 
-    __slots__ = ("formula", "index", "emissions", "injected", "source")
+    __slots__ = ("formula", "index", "emissions", "injected")
 
     def __init__(self, formula: CnfFormula, index: ReifiedIndex,
                  emissions: Iterable[tuple[ClauseRole, frozenset]],
-                 injected: Iterable[int] = (), source: CnfFormula | None = None):
+                 injected: Iterable[int] = ()):
         self.formula = formula
         self.index = index
         self.emissions = tuple((role, frozenset(clause)) for role, clause in emissions)
         self.injected = frozenset(injected)
-        self.source = source
 
     @property
     def n(self) -> int:
@@ -204,6 +202,26 @@ def reify(formula: CnfFormula) -> ReifiedFormula:
     that round when the other literals were falsified one round earlier.
     Redundant emissions are kept exactly as defined, never pruned.
     """
+    return _mirror(formula, frozenset())
+
+
+def reify_injected(formula: CnfFormula, inject: Iterable[int]) -> ReifiedFormula:
+    """Mirror of ``formula`` with the variables of ``inject`` wired in.
+
+    Each injected source variable v gets the two clauses routing a raw
+    assignment of v into the round-1 mirror variables, so that restricting
+    the result by a partial assignment over ``inject`` drives the simulation
+    the same way restricting the source formula would.
+    """
+    inject_set = frozenset(inject)
+    stray = inject_set - formula.variables
+    if stray:
+        raise ValueError(f"injected variables not in the formula: {sorted(stray)}")
+    return _mirror(formula, inject_set)
+
+
+def _mirror(formula: CnfFormula, inject: frozenset[int]) -> ReifiedFormula:
+    # the emissions of reify, then the injection clauses of reify_injected
     index = ReifiedIndex(formula.variables)
     n = index.n
     emissions: list[tuple[ClauseRole, frozenset]] = []
@@ -230,29 +248,23 @@ def reify(formula: CnfFormula) -> ReifiedFormula:
                 body = {-index.delta_id(-t, stage - 1) for t in clause if t != w}
                 emissions.append((ClauseRole("ded", stage), frozenset(body | {index.delta_id(w, stage)})))
 
+    for v in sorted(inject):
+        emissions.append((ClauseRole("inject"), frozenset((-v, index.id_of(v, 1, True)))))
+        emissions.append((ClauseRole("inject"), frozenset((v, index.id_of(v, 1, False)))))
+
     mirror = CnfFormula((clause for _, clause in emissions), names=_mirror_names(formula, index))
-    return ReifiedFormula(mirror, index, emissions, source=formula)
+    return ReifiedFormula(mirror, index, emissions, injected=inject)
 
 
-def reify_injected(formula: CnfFormula, inject: Iterable[int]) -> ReifiedFormula:
-    """Mirror of ``formula`` with the variables of ``inject`` wired in.
+def clash_clauses(mirror: ReifiedFormula, head: Lit) -> tuple[frozenset, ...]:
+    """Clauses firing ``head`` once some variable's final-round mirror is fixed both ways.
 
-    Each injected source variable v gets the two clauses routing a raw
-    assignment of v into the round-1 mirror variables, so that restricting
-    the result by a partial assignment over ``inject`` drives the simulation
-    the same way restricting the source formula would.
+    Propagation on the source fails exactly when that happens, so ``head``
+    reads failure off the mirror, which itself never fails.
     """
-    inject_set = frozenset(inject)
-    stray = inject_set - formula.variables
-    if stray:
-        raise ValueError(f"injected variables not in the formula: {sorted(stray)}")
-    base = reify(formula)
-    emissions = list(base.emissions)
-    for v in sorted(inject_set):
-        emissions.append((ClauseRole("inject"), frozenset((-v, base.index.id_of(v, 1, True)))))
-        emissions.append((ClauseRole("inject"), frozenset((v, base.index.id_of(v, 1, False)))))
-    mirror = CnfFormula((clause for _, clause in emissions), names=base.formula.names)
-    return ReifiedFormula(mirror, base.index, emissions, injected=inject_set, source=formula)
+    index, last = mirror.index, mirror.n + 1
+    return tuple(frozenset((-index.id_of(v, last, True), -index.id_of(v, last, False), head))
+                 for v in index.base_vars)
 
 
 def failed_literal_formula(formula: CnfFormula, lit: Lit) -> tuple[CnfFormula, Lit]:
@@ -267,16 +279,8 @@ def failed_literal_formula(formula: CnfFormula, lit: Lit) -> tuple[CnfFormula, L
     check_lit(lit)
     if abs(lit) not in formula.variables:
         raise ValueError(f"literal {lit} is not over the formula's variables")
-    probed = restrict(formula, [lit])
-    mirror = reify(probed)
-    n = mirror.n
-    clauses = list(mirror.formula.clauses)
-    for v in mirror.index.base_vars:
-        clauses.append(frozenset((
-            -mirror.index.id_of(v, n + 1, True),
-            -mirror.index.id_of(v, n + 1, False),
-            -lit,
-        )))
+    mirror = reify(restrict(formula, [lit]))
+    clauses = mirror.formula.clauses + clash_clauses(mirror, -lit)
     return CnfFormula(clauses, names=mirror.formula.names), -lit
 
 

@@ -68,43 +68,27 @@ def circuit_to_propagator(circ: Circuit, variables: Sequence[int] | None = None,
         else:
             literal_of[label] = -variables[i - n]
 
-    inputs = frozenset(variables)
     next_var = max(variables, default=0) + 1
     clauses: list[frozenset] = []
-
-    if circ.output in literal_of:
-        out_lit = literal_of[circ.output]
-        # still compile any (dead) gates so the formula mirrors the circuit
-        fresh_needed = list(circ.topological)
-        output_var: int
-        if out_lit > 0:
-            output_var = out_lit
-        else:
-            output_var = next_var
-            next_var += 1
-            clauses.append(frozenset((-out_lit, output_var)))
-            var_names.setdefault(output_var, "s")
-        for g in fresh_needed:
-            literal_of[g.output] = next_var
-            var_names.setdefault(next_var, g.output)
-            next_var += 1
-        for g in fresh_needed:
-            clauses.extend(_gate_clauses(g, literal_of))
-        return Propagator(CnfFormula(clauses, names=var_names), inputs, output_var)
-
-    for g in circ.topological:
-        if g.output == circ.output:
-            continue
-        literal_of[g.output] = next_var
-        var_names.setdefault(next_var, g.output)
+    # an input-label output is read directly when positive; when negative,
+    # the first fresh variable, ahead of the gates, copies the indicator
+    output_var = literal_of.get(circ.output)
+    if output_var is not None and output_var < 0:
+        clauses.append(frozenset((-output_var, next_var)))
+        output_var = next_var
+        var_names.setdefault(next_var, "s")
         next_var += 1
-    literal_of[circ.output] = next_var
-    var_names.setdefault(next_var, "s")
-    output_var = next_var
-
+    # every gate is compiled, dead ones too, so the formula mirrors the
+    # circuit; an output gate sorts last and takes the final fresh variable
+    for g in sorted(circ.topological, key=lambda g: g.output == circ.output):
+        literal_of[g.output] = next_var
+        var_names.setdefault(next_var, "s" if g.output == circ.output else g.output)
+        next_var += 1
     for g in circ.topological:
         clauses.extend(_gate_clauses(g, literal_of))
-    return Propagator(CnfFormula(clauses, names=var_names), inputs, output_var)
+    if output_var is None:
+        output_var = literal_of[circ.output]
+    return Propagator(CnfFormula(clauses, names=var_names), frozenset(variables), output_var)
 
 
 def _gate_clauses(g: Gate, literal_of: Mapping[str, Lit]) -> list[frozenset]:
@@ -133,13 +117,10 @@ class CircuitExtraction:
 
     circuit: Circuit
     reified: ReifiedFormula
-    input_nodes: dict[Lit, str]
-    node_labels: dict[int, str]
     initial_always_false: frozenset[str]
     initial_always_true: frozenset[str]
     always_false: frozenset[str]
     always_true: frozenset[str]
-    additional: tuple[str, ...]
     layers: tuple[tuple[Gate, ...], ...]
     provenance: dict[str, str]
 
@@ -169,12 +150,10 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
         return rv.label(safe[rv.base])
 
     status: dict[int, tuple] = {}
-    node_labels: dict[int, str] = {}
     seeded = {next(iter(c)) for c in prop.formula.clauses if len(c) == 1}
     for v in index.base_vars:
         for positive in (True, False):
             ident = index.id_of(v, 0, positive)
-            node_labels[ident] = node_label(ident)
             if (v if positive else -v) in seeded:
                 status[ident] = (_TRUE,)
             elif v not in prop.inputs:
@@ -183,13 +162,12 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
             # never referenced by any later clause, so they need no entry
 
     def ledger(which: str) -> frozenset[str]:
-        return frozenset(node_labels[i] for i, st in status.items() if st[0] == which)
+        return frozenset(node_label(i) for i, st in status.items() if st[0] == which)
 
     initial_false, initial_true = ledger(_FALSE), ledger(_TRUE)
 
     gates: list[Gate] = []
     layers: list[tuple[Gate, ...]] = []
-    additional: list[str] = []
     provenance: dict[str, str] = {}
 
     def antecedent(lit: Lit) -> str | tuple:
@@ -216,7 +194,6 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
             for positive in (True, False):
                 head = index.id_of(v, stage, positive)
                 label = node_label(head)
-                node_labels[head] = label
                 fireable: list[list[str]] = []
                 forced = False
                 for clause in by_head.get(head, ()):
@@ -252,7 +229,6 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
                     alts = []
                     for k, sources in enumerate(fireable, start=1):
                         alt = f"{label}_alt{k}"
-                        additional.append(alt)
                         new = _connect(sources, alt)
                         layer_gates.append(new)
                         provenance[alt] = _describe_sources(sources, alt)
@@ -269,7 +245,7 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
         if out_status[0] == _NODE:
             output = out_status[1]
         else:
-            output = node_labels[out_id]
+            output = node_label(out_id)
             kind = "const1" if out_status[0] == _TRUE else "const0"
             gates.append(Gate(kind, output, ()))
             provenance[output] = f"{output} collapsed to a constant"
@@ -286,13 +262,10 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
     return CircuitExtraction(
         circuit=circuit,
         reified=mirrored,
-        input_nodes=input_nodes,
-        node_labels=node_labels,
         initial_always_false=initial_false,
         initial_always_true=initial_true,
         always_false=ledger(_FALSE),
         always_true=ledger(_TRUE),
-        additional=tuple(additional),
         layers=tuple(layers),
         provenance=provenance,
     )

@@ -42,15 +42,9 @@ from .propagator import (
 from .reify import failed_literal_formula, reify, reify_injected
 from .translate import circuit_to_propagator, extract_circuit
 
-ENUMERATION_LIMIT = 12
-
-
 def enumerate_assignments(variables: Iterable[int]) -> list[PartialAssignment]:
     """All 3^n consistent partial assignments, in ternary counting order."""
-    ordered = sorted(set(variables))
-    if len(ordered) > ENUMERATION_LIMIT:
-        raise ValueError(f"refusing to enumerate over {len(ordered)} variables (> {ENUMERATION_LIMIT})")
-    return list(iter_assignments(ordered))
+    return list(iter_assignments(variables))
 
 
 @dataclass(frozen=True)
@@ -120,8 +114,12 @@ def check_equiv_propagator_circuit(prop: Propagator, circ: Circuit) -> Counterex
 
 # --- generators -----------------------------------------------------------------
 
-def random_cnf(n: int, k: int, maxlen: int = 3, seed: int = 0) -> CnfFormula:
-    """Seed-deterministic formula: k clauses of 1..maxlen literals over n variables."""
+def random_cnf(n: int, k: int, maxlen: int = 3, seed: int = 0, horn: bool = False) -> CnfFormula:
+    """Seed-deterministic formula: k clauses of 1..maxlen literals over n variables.
+
+    With ``horn`` every clause has at most one positive literal: with
+    probability 0.7 its first literal is positive, all others are negative.
+    """
     if n < 0 or k < 0:
         raise ValueError("counts must be nonnegative")
     rng = random.Random(seed)
@@ -130,27 +128,11 @@ def random_cnf(n: int, k: int, maxlen: int = 3, seed: int = 0) -> CnfFormula:
         for _ in range(k):
             length = rng.randint(1, max(1, maxlen))
             lits = set()
-            for _ in range(length):
-                v = rng.randint(1, n)
-                lits.add(v if rng.random() < 0.5 else -v)
-            clauses.append(lits)
-    return CnfFormula(clauses)
-
-
-def random_horn_cnf(n: int, k: int, maxlen: int = 3, seed: int = 0) -> CnfFormula:
-    """Like :func:`random_cnf` but with at most one positive literal per clause."""
-    if n < 0 or k < 0:
-        raise ValueError("counts must be nonnegative")
-    rng = random.Random(seed)
-    clauses = []
-    if n > 0:
-        for _ in range(k):
-            length = rng.randint(1, max(1, maxlen))
-            lits = set()
-            with_head = rng.random() < 0.7
+            with_head = horn and rng.random() < 0.7
             for j in range(length):
                 v = rng.randint(1, n)
-                lits.add(v if with_head and j == 0 else -v)
+                positive = (with_head and j == 0) if horn else rng.random() < 0.5
+                lits.add(v if positive else -v)
             clauses.append(lits)
     return CnfFormula(clauses)
 
@@ -180,10 +162,9 @@ def random_propagator(seed: int, max_vars: int = 5, max_clauses: int = 10,
                       maxlen: int = 3, max_inputs: int = 5, horn: bool = False) -> Propagator:
     """Random propagator with inputs and output drawn from the formula's variables."""
     rng = random.Random(seed)
-    make = random_horn_cnf if horn else random_cnf
     for attempt in range(1000):
-        formula = make(rng.randint(1, max_vars), rng.randint(1, max_clauses),
-                       maxlen, seed=rng.getrandbits(32))
+        formula = random_cnf(rng.randint(1, max_vars), rng.randint(1, max_clauses),
+                             maxlen, seed=rng.getrandbits(32), horn=horn)
         if formula.variables:
             break
     else:
@@ -611,5 +592,7 @@ SUITES: dict[str, tuple[Callable[[int, int], Iterator[CheckRecord]], int]] = {
 def run_suite(name: str, seed: int, count: int | None = None) -> Iterator[CheckRecord]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    if count is not None and count < 1:
+        raise ValueError(f"instance count must be at least 1, got {count}")
     runner, default_count = SUITES[name]
     return runner(seed, count if count is not None else default_count)

@@ -179,3 +179,19 @@ def test_usage_error_exit_codes(capsys, tmp_path):
         main(["frobnicate"])
     assert exc.value.code == 2
     assert main(["propagate", str(tmp_path / "missing.cnf")]) == 2
+
+
+def test_check_monotone_rejects_short_csv_row(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("assignment,bits,outcome\nv1=1,10\n")
+    assert main(["check-monotone", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_count_below_one_is_usage_error(count, capsys):
+    assert main(["verify", "th1-equiv", "--seed", "1", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

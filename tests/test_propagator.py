@@ -358,3 +358,9 @@ def test_monotone_matching_property_random():
     for i in range(20):
         prop = random_propagator(3000 + i, max_vars=4, max_clauses=7, max_inputs=3)
         assert check_monotone(tabulate(prop).as_matching()) is None
+
+
+def test_tabulate_refuses_more_than_twelve_inputs():
+    wide = Propagator(F(*([-v, 14] for v in range(1, 14))), frozenset(range(1, 14)), 14)
+    with pytest.raises(ValueError, match="refusing to enumerate"):
+        tabulate(wide)

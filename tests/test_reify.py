@@ -323,3 +323,11 @@ def test_format_reified_mentions_roles_and_index():
     assert "c role prop 2" in text
     assert "c role ded 3" in text
     assert "c rv " in text
+
+
+def test_reify_is_reify_injected_with_nothing_injected():
+    for seed in range(30):
+        rng = random.Random(seed)
+        formula = random_cnf(rng.randint(0, 5), rng.randint(0, 10), rng.randint(1, 3), seed=seed)
+        assert format_reified(reify(formula)) == format_reified(reify_injected(formula, ()))
+        assert reify(formula) == reify_injected(formula, ())

@@ -259,3 +259,20 @@ def test_pruning_extracted_circuits_preserves_the_function():
     slim = prune_dead_gates(full)
     assert len(slim.gates) < len(full.gates)
     assert check_equiv_propagator_circuit(wide_example(), slim) is None
+
+
+def test_compile_input_label_output_with_dead_gates():
+    gates = [gate("and", "u", "e1", "e4"), gate("or", "w", "u", "e3"), gate("tie", "t", "w")]
+    positive = circuit_to_propagator(Circuit(["e1", "e2", "e3", "e4"], gates, "e2"),
+                                     variables=(1, 2))
+    assert set(positive.formula.clauses) == {fs({1, 4}), fs({-1, 2, 3}), fs({-3, 4}), fs({-4, 5})}
+    assert positive.output == 2
+    assert positive.inputs == {1, 2}
+    assert positive.formula.names == {1: "e1", 2: "e2", 3: "u", 4: "w", 5: "t"}
+    # a negative indicator output takes the first fresh variable, ahead of the gates
+    negative = circuit_to_propagator(Circuit(["e1", "e2", "e3", "e4"], gates, "e3"),
+                                     variables=(1, 2))
+    assert set(negative.formula.clauses) == {
+        fs({1, 3}), fs({1, 5}), fs({-1, 2, 4}), fs({-4, 5}), fs({-5, 6})}
+    assert negative.output == 3
+    assert negative.formula.names == {1: "e1", 2: "e2", 3: "s", 4: "u", 5: "w", 6: "t"}

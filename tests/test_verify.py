@@ -227,3 +227,24 @@ def test_suites_are_seed_deterministic():
     first = [r.line() for r in run_suite("algorithm-agreement", seed=9, count=5)]
     second = [r.line() for r in run_suite("algorithm-agreement", seed=9, count=5)]
     assert first == second
+
+
+def test_random_horn_cnf_pinned():
+    # pinned draws: the Horn corpora of the nu-roundtrip suite depend on them
+    want = {
+        1: [{1}, {1, -4}, {-1, 2, -4}, {4, -4}, {-4}],
+        2: [{1, -1, -3}, {1, -2}, {3}, {3, -4}, {-3}],
+        3: [{-1, -4}, {2}, {-2, -3, 4}, {-2, -4}, {-4}],
+    }
+    for seed, clauses in want.items():
+        formula = random_cnf(4, 5, 3, seed=seed, horn=True)
+        assert set(formula.clauses) == {fs(c) for c in clauses}
+    for seed in range(50):
+        for clause in random_cnf(6, 10, 4, seed=seed, horn=True).clauses:
+            assert sum(1 for l in clause if l > 0) <= 1
+
+
+def test_random_cnf_default_is_not_horn_pinned():
+    assert set(random_cnf(4, 5, 3, seed=1).clauses) == {
+        fs({1}), fs({-1, -2}), fs({-1, -4}), fs({4}), fs({4, -4})}
+    assert random_cnf(4, 5, 3, seed=1) == random_cnf(4, 5, 3, seed=1, horn=False)
