@@ -141,14 +141,26 @@ def evaluate_batch(circ: Circuit, vectors: Sequence[Sequence[int]]) -> list[int]
     width = len(vectors)
     if any(len(v) != len(circ.inputs) for v in vectors):
         raise ValueError(f"every vector must have {len(circ.inputs)} bits")
+    if not width:
+        return []
+    # lanes are packed and read out through one binary string per mask,
+    # lane 0 as the last character: shifting lane by lane is quadratic
+    masks = [int("".join("1" if vector[pos] else "0" for vector in reversed(vectors)), 2)
+             for pos in range(len(circ.inputs))]
+    out = format(evaluate_lanes(circ, masks, width), f"0{width}b")
+    return [int(bit) for bit in reversed(out)]
+
+
+def evaluate_lanes(circ: Circuit, masks: Sequence[int], width: int) -> int:
+    """Output lane mask from one lane mask per input label, over ``width`` lanes.
+
+    The kernel behind :func:`evaluate_batch`: bit ``i`` of each mask is the
+    value of that input in lane ``i``.
+    """
+    if len(masks) != len(circ.inputs):
+        raise ValueError(f"expected {len(circ.inputs)} input masks, got {len(masks)}")
     full = (1 << width) - 1
-    value: dict[str, int] = {}
-    for pos, label in enumerate(circ.inputs):
-        mask = 0
-        for lane, vector in enumerate(vectors):
-            if vector[pos]:
-                mask |= 1 << lane
-        value[label] = mask
+    value = dict(zip(circ.inputs, masks))
     for g in circ.topological:
         if g.kind == "and":
             acc = full
@@ -165,8 +177,7 @@ def evaluate_batch(circ: Circuit, vectors: Sequence[Sequence[int]]) -> list[int]
         else:
             acc = full if g.kind == "const1" else 0
         value[g.output] = acc
-    out = value[circ.output]
-    return [(out >> lane) & 1 for lane in range(width)]
+    return value[circ.output]
 
 
 def validate_monotone(circ: Circuit) -> bool:

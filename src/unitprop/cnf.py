@@ -13,7 +13,8 @@ stage-indexed constructions in :mod:`unitprop.reify` are built on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 Lit = int
@@ -171,6 +172,29 @@ def as_literals(assignment) -> frozenset[Lit]:
     return frozenset(check_lit(l) for l in assignment)
 
 
+def enumeration_order(variables: Iterable[int]) -> tuple[int, ...]:
+    """Sorted variables of an exhaustive enumeration.
+
+    The one place ``ENUMERATION_LIMIT`` is checked: more variables than that
+    are refused here, before anything is enumerated or allocated.
+    """
+    order = tuple(sorted(set(variables)))
+    if len(order) > ENUMERATION_LIMIT:
+        raise ValueError(f"refusing to enumerate over {len(order)} variables (> {ENUMERATION_LIMIT})")
+    return order
+
+
+def assignment_literals(variables: Iterable[int]) -> Iterator[frozenset[Lit]]:
+    """Literal sets of ``iter_assignments(variables)``, in the same order.
+
+    The enumeration itself, without building a validated
+    :class:`PartialAssignment` per row.
+    """
+    order = enumeration_order(variables)
+    for choice in product(*[((), (var,), (-var,)) for var in order]):
+        yield frozenset(chain.from_iterable(choice))
+
+
 def iter_assignments(variables: Iterable[int]) -> Iterator[PartialAssignment]:
     """All consistent partial assignments over ``variables``.
 
@@ -178,19 +202,8 @@ def iter_assignments(variables: Iterable[int]) -> Iterator[PartialAssignment]:
     digits meaning unassigned / true / false.  3**n assignments total; more
     than ``ENUMERATION_LIMIT`` variables are refused.
     """
-    order = sorted(set(variables))
-    n = len(order)
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"refusing to enumerate over {n} variables (> {ENUMERATION_LIMIT})")
-    for code in range(3 ** n):
-        lits = []
-        rest = code
-        for var in reversed(order):
-            rest, digit = divmod(rest, 3)
-            if digit == 1:
-                lits.append(var)
-            elif digit == 2:
-                lits.append(-var)
+    order = enumeration_order(variables)
+    for lits in assignment_literals(order):
         yield PartialAssignment(lits, universe=order)
 
 
@@ -314,6 +327,15 @@ def propagation_stage(formula: CnfFormula, assigned: Iterable[Lit]) -> frozenset
     return frozenset(out)
 
 
+def _occurrences(clauses: tuple[Clause, ...]) -> dict[Lit, list[int]]:
+    """Positions of the clauses each literal occurs in."""
+    occurrences: dict[Lit, list[int]] = {}
+    for idx, clause in enumerate(clauses):
+        for l in clause:
+            occurrences.setdefault(l, []).append(idx)
+    return occurrences
+
+
 def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> PropagationResult:
     """Stage-synchronous unit resolution over exactly n+1 rounds.
 
@@ -329,10 +351,7 @@ def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> Propagati
     """
     clauses = formula.clauses
     rounds = len(formula.variables) + 1
-    occurrences: dict[Lit, list[int]] = {}
-    for idx, clause in enumerate(clauses):
-        for l in clause:
-            occurrences.setdefault(l, []).append(idx)
+    occurrences = _occurrences(clauses)
     falsified = [0] * len(clauses)  # literals of the clause whose negation is assigned
     assigned: set[Lit] = set()
     hot = set(range(len(clauses)))
@@ -361,6 +380,93 @@ def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> Propagati
     return PropagationResult(stages, is_bottom=bottom)
 
 
+# --- all assignments at once ------------------------------------------------
+
+class Lanes(NamedTuple):
+    """Unit propagation on every assignment of ``order`` at once.
+
+    Lane ``i`` (bit ``i`` of each mask) is the ``i``-th assignment of
+    ``iter_assignments(order)``.  ``masks[l]`` has a lane set when
+    propagation under that assignment derives ``l``; a literal without an
+    entry is derived nowhere.  ``fail`` has a lane set when propagation
+    under that assignment fails.
+    """
+
+    order: tuple[int, ...]
+    masks: dict[Lit, int]
+    fail: int
+
+    def bits(self, mask: int) -> str:
+        """``mask`` as one ``0``/``1`` character per lane, lane 0 first."""
+        # one string conversion: reading lane by lane with shifts is quadratic
+        return format(mask, f"0{3 ** len(self.order)}b")[::-1]
+
+
+def indicator_lanes(order: tuple[int, ...]) -> dict[Lit, int]:
+    """Lane mask of each literal over ``order``: the lanes whose assignment contains it.
+
+    These are the paired indicator bits of every assignment, one lane each,
+    in the lane numbering of :class:`Lanes`.
+    """
+    width = 3 ** len(order)
+    full = (1 << width) - 1
+    masks: dict[Lit, int] = {}
+    for pos, var in enumerate(order):
+        # the digit of this variable is constant on runs of `stride` lanes
+        # and cycles unassigned / true / false with period 3 * stride
+        stride = 3 ** (len(order) - 1 - pos)
+        run = (1 << stride) - 1
+        repeat = full // ((1 << 3 * stride) - 1)
+        masks[var] = (run << stride) * repeat
+        masks[-var] = (run << 2 * stride) * repeat
+    return masks
+
+
+def propagate_lanes(formula: CnfFormula, variables: Iterable[int]) -> Lanes:
+    """Unit propagation of ``formula`` under all 3^k assignments of ``variables``.
+
+    Lane by lane the same as ``propagate_staged(restrict(formula, a))`` for
+    the lane's assignment ``a``: the lane fails exactly when that run does,
+    and otherwise derives exactly the literals it produces.  The
+    assignment's literals seed the masks, where ``restrict``'s unit clauses
+    would fire; a clause fires ``w`` on the lanes where every other literal
+    of it is falsified; after a change only the clauses holding the
+    negation of a grown literal are revisited.  Running to the fixpoint
+    instead of n+1 rounds keeps the failing lanes: until a lane clashes,
+    each productive round fixes a new variable, so a clash shows within
+    n+1 rounds.  The empty clause fires nothing, as in the staged engine.
+    Variables outside the formula still take part.  More than
+    ``ENUMERATION_LIMIT`` variables are refused before any mask is built.
+    """
+    order = enumeration_order(variables)
+    masks = indicator_lanes(order)
+    full = (1 << 3 ** len(order)) - 1
+    clauses = formula.clauses
+    occurrences = _occurrences(clauses)
+    hot = set(range(len(clauses)))
+    while hot:
+        grown: set[Lit] = set()
+        for idx in hot:
+            clause = clauses[idx]
+            for w in clause:
+                lanes = full
+                for t in clause:
+                    if t != w:
+                        lanes &= masks.get(-t, 0)
+                        if not lanes:
+                            break
+                have = masks.get(w, 0)
+                if lanes & ~have:
+                    masks[w] = have | lanes
+                    grown.add(w)
+        hot = {idx for w in grown for idx in occurrences.get(-w, ())}
+    fail = 0
+    for lit, mask in masks.items():
+        if lit > 0:
+            fail |= mask & masks.get(-lit, 0)
+    return Lanes(order, masks, fail)
+
+
 # --- DIMACS ----------------------------------------------------------------
 
 def format_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
@@ -377,7 +483,11 @@ def format_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS text; clauses may span lines, ``c var`` comments are honored."""
+    """Parse DIMACS text; clauses may span lines, ``c var`` comments are honored.
+
+    A line that is exactly ``%`` ends the clause section, as in the SATLIB
+    benchmark files, which follow it with a stray ``0``.
+    """
     names: dict[int, str] = {}
     declared = None
     tokens: list[str] = []
@@ -385,6 +495,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line:
             continue
+        if line == "%":
+            break
         if line.startswith("c"):
             fields = line.split()
             if len(fields) >= 4 and fields[1] == "var":

@@ -22,10 +22,11 @@ from .cnf import (
     Lit,
     PartialAssignment,
     as_literals,
+    assignment_literals,
     format_dimacs,
-    iter_assignments,
     lit_key,
     parse_dimacs,
+    propagate_lanes,
     propagate_staged,
     resolve_variable,
     restrict,
@@ -442,13 +443,27 @@ class FunctionTable:
         return cls(variables, rows, names=names)
 
 
+# outcome of a lane from its (fail, output, negated output) bits
+_FILTERING_OF_BITS = {
+    (f, t, n): (Filtering.FAIL if f == "1" else Filtering.TRUE if t == "1"
+                else Filtering.FALSE if n == "1" else Filtering.NA)
+    for f in "01" for t in "01" for n in "01"
+}
+
+
 def tabulate(prop: Propagator) -> FunctionTable:
-    """Materialize the filtering function on all 3^|inputs| assignments."""
-    order = tuple(sorted(prop.inputs))
-    rows = {}
-    for assignment in iter_assignments(order):
-        rows[assignment.literals] = eval_filtering(prop, assignment)
-    return FunctionTable(order, rows, names=prop.formula.names)
+    """Materialize the filtering function on all 3^|inputs| assignments.
+
+    One bit-parallel propagation pass covers every row; each row equals
+    :func:`eval_filtering` on its assignment (held against it in the tests).
+    """
+    lanes = propagate_lanes(prop.formula, prop.inputs)
+    outcomes = map(_FILTERING_OF_BITS.get, zip(
+        lanes.bits(lanes.fail),
+        lanes.bits(lanes.masks.get(prop.output, 0)),
+        lanes.bits(lanes.masks.get(-prop.output, 0))))
+    return FunctionTable(lanes.order, zip(assignment_literals(lanes.order), outcomes),
+                         names=prop.formula.names)
 
 
 # --- propagator files ------------------------------------------------------------

@@ -16,12 +16,14 @@ from .cnf import (
     CnfFormula,
     PartialAssignment,
     format_dimacs,
+    indicator_lanes,
     iter_assignments,
+    propagate_lanes,
     propagate_staged,
     propagate_standard,
     restrict,
 )
-from .circuit import Circuit, Gate, evaluate_batch, validate_monotone
+from .circuit import Circuit, Gate, evaluate_batch, evaluate_lanes, validate_monotone
 from .propagator import (
     Filtering,
     FunctionTable,
@@ -65,15 +67,44 @@ class Counterexample:
 
 
 def check_monotone(table: FunctionTable) -> Counterexample | None:
-    """Scan all assignment pairs I <= J for an order violation.
+    """Find an order violation: assignments I <= J with I yes and J no.
 
     Returns the violation with the smallest |J \\ I| (ties: first in
     enumeration order), or None when the table is monotone.
+
+    Scans cover edges, J against each I = J minus one literal, in
+    O(k * 3^k).  Whenever every such I of a ``no`` row J is itself a row,
+    as in any downward-closed table (every propagator table and its
+    :meth:`~FunctionTable.as_matching` view, since failing rows form an
+    up-set), that loses nothing: walking down from J towards I through rows
+    must pass a cover edge from a yes row to a no row, so violations exist
+    exactly when gap-1 violations do, and the minimal one is among them.
+    Other tables, such as a hand-made CSV with holes, get the pair scan.
     """
     if table.codomain != "matching":
         raise ValueError("monotonicity is defined for matching tables; use as_matching()")
+    rows = table.rows
+    found = []  # (I, J, position of J)
+    for j_pos, (j_lits, j_val) in enumerate(rows.items()):
+        if j_val is Matching.YES:
+            continue
+        for lit in j_lits:
+            i_lits = j_lits - {lit}
+            i_val = rows.get(i_lits)
+            if i_val is None:
+                return _check_monotone_pairs(table)
+            if i_val is Matching.YES:
+                found.append((i_lits, j_lits, j_pos))
+    if not found:
+        return None
+    position = {lits: pos for pos, lits in enumerate(rows)}
+    i_lits, j_lits, _ = min(found, key=lambda v: (position[v[0]], v[2]))
+    return _violation(table, i_lits, j_lits)
+
+
+def _check_monotone_pairs(table: FunctionTable) -> Counterexample | None:
+    """Reference for :func:`check_monotone`: every pair I <= J, O(9^k)."""
     rows = list(table.items())
-    universe = table.variables
     best = None
     best_key = None
     for i_pos, (i_lits, i_val) in enumerate(rows):
@@ -82,34 +113,46 @@ def check_monotone(table: FunctionTable) -> Counterexample | None:
                 key = (len(j_lits - i_lits), i_pos, j_pos)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best = Counterexample(
-                        first=PartialAssignment(i_lits, universe=universe),
-                        second=PartialAssignment(j_lits, universe=universe),
-                        witness="monotonicity-violation",
-                        outcomes=(i_val, j_val),
-                    )
-    return best
+                    best = (i_lits, j_lits)
+    return None if best is None else _violation(table, *best)
+
+
+def _violation(table: FunctionTable, i_lits: frozenset, j_lits: frozenset) -> Counterexample:
+    universe = table.variables
+    return Counterexample(
+        first=PartialAssignment(i_lits, universe=universe),
+        second=PartialAssignment(j_lits, universe=universe),
+        witness="monotonicity-violation",
+        outcomes=(table.rows[i_lits], table.rows[j_lits]),
+    )
 
 
 def check_equiv_propagator_circuit(prop: Propagator, circ: Circuit) -> Counterexample | None:
     """Exhaustively compare the matching function with the circuit's bit function.
 
     Propagation failure on some assignment is reported as a distinct
-    protocol violation rather than a value mismatch.
+    protocol violation rather than a value mismatch.  The first bad
+    assignment in enumeration order is reported.  Both sides run on all
+    assignments at once, one bit lane each: the propagator through
+    :func:`propagate_lanes`, the circuit on the assignments' paired
+    indicator bits.
     """
-    order = sorted(prop.inputs)
-    assignments = enumerate_assignments(order)
-    reps = [boolean_representation(a, order) for a in assignments]
-    circuit_bits = evaluate_batch(circ, reps)
-    for assignment, bit in zip(assignments, circuit_bits):
-        try:
-            match = eval_matching(prop, assignment)
-        except MatchingProtocolError:
-            return Counterexample(assignment, None, "protocol-violation",
-                                  (Filtering.FAIL, bit))
-        if (match is Matching.YES) != (bit == 1):
-            return Counterexample(assignment, None, "equivalence-mismatch", (match, bit))
-    return None
+    lanes = propagate_lanes(prop.formula, prop.inputs)
+    indicators = indicator_lanes(lanes.order)
+    masks = [indicators[v] for v in lanes.order] + [indicators[-v] for v in lanes.order]
+    circuit_out = evaluate_lanes(circ, masks, 3 ** len(lanes.order))
+    yes = lanes.masks.get(prop.output, 0)
+    bad = lanes.fail | (yes ^ circuit_out)
+    if not bad:
+        return None
+    lane = (bad & -bad).bit_length() - 1
+    lits = [lit for lit, mask in indicators.items() if mask >> lane & 1]
+    assignment = PartialAssignment(lits, universe=lanes.order)
+    bit = circuit_out >> lane & 1
+    if lanes.fail >> lane & 1:
+        return Counterexample(assignment, None, "protocol-violation", (Filtering.FAIL, bit))
+    match = Matching.YES if yes >> lane & 1 else Matching.NO
+    return Counterexample(assignment, None, "equivalence-mismatch", (match, bit))
 
 
 # --- generators -----------------------------------------------------------------

@@ -195,3 +195,20 @@ def test_verify_count_below_one_is_usage_error(count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_propagate_accepts_satlib_trailer(tmp_path, capsys):
+    # SATLIB files end their clause section with a '%' line and a stray 0
+    path = tmp_path / "uf.cnf"
+    path.write_text("c SATLIB-style\np cnf 3 2\n 1 -2 0\n2 3 0\n%\n0\n\n")
+    assert main(["propagate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "\n" and captured.err == ""
+
+
+def test_check_monotone_csv_with_holes(tmp_path, capsys):
+    # a=1,b=x and a=x,b=1 are missing: the violation spans two literals
+    path = tmp_path / "holes.csv"
+    path.write_text('assignment,bits,outcome\n"a=x,b=x",0000,yes\n"a=1,b=1",1100,no\n')
+    assert main(["check-monotone", str(path)]) == 1
+    assert capsys.readouterr().out == "monotonicity-violation I={} J={a,b} outcomes=yes/no\n"

@@ -2,16 +2,20 @@ import random
 
 import pytest
 
+import unitprop.cnf as cnf
 from unitprop.cnf import (
     CnfFormula,
     PartialAssignment,
     PropagationResult,
+    assignment_literals,
     clause_of,
     format_dimacs,
+    indicator_lanes,
     iter_assignments,
     lit_var,
     neg,
     parse_dimacs,
+    propagate_lanes,
     propagate_staged,
     propagate_standard,
     propagation_stage,
@@ -288,6 +292,117 @@ def test_iter_assignments_unique_and_consistent():
     assert len(seen) == 27
 
 
+def test_assignment_literals_follow_iter_assignments():
+    for order in ([], [4], [1, 2, 3], [5, 2, 9, 7]):
+        assert list(assignment_literals(order)) == [a.literals for a in iter_assignments(order)]
+
+
+def test_indicator_lanes_mark_each_assignment():
+    order = (2, 5, 6)
+    masks = indicator_lanes(order)
+    for lane, assignment in enumerate(iter_assignments(order)):
+        lits = {l for l, mask in masks.items() if mask >> lane & 1}
+        assert lits == assignment.literals
+    assert indicator_lanes(()) == {}
+
+
+# --- bit-parallel propagation over every assignment ---------------------------
+
+def lane_rows(formula, variables):
+    """Per assignment: (fails, derived literals) read off propagate_lanes."""
+    lanes = propagate_lanes(formula, variables)
+    fail = lanes.bits(lanes.fail)
+    derived = [set() for _ in fail]
+    for lit, mask in lanes.masks.items():
+        for lane, bit in enumerate(lanes.bits(mask)):
+            if bit == "1":
+                derived[lane].add(lit)
+    return [(f == "1", d) for f, d in zip(fail, derived)]
+
+
+def staged_rows(formula, variables):
+    rows = []
+    for assignment in iter_assignments(variables):
+        res = propagate_staged(restrict(formula, assignment), early_exit=True)
+        rows.append((res.is_bottom, set(res.produced)))
+    return rows
+
+
+def same_rows(lane, staged):
+    # derived sets are only defined where propagation does not fail
+    assert [f for f, _ in lane] == [f for f, _ in staged]
+    assert [d for f, d in lane if not f] == [d for f, d in staged if not f]
+
+
+def test_propagate_lanes_matches_staged_engine_on_random_formulas():
+    rng = random.Random(20261018)
+    for i in range(150):
+        formula = random_cnf(rng.randint(0, 6), rng.randint(0, 14), rng.randint(1, 4),
+                             seed=rng.getrandbits(32), horn=i % 2 == 1)
+        pool = sorted(formula.variables | {7, 8})  # 7, 8 lie outside every formula here
+        variables = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        same_rows(lane_rows(formula, variables), staged_rows(formula, variables))
+
+
+@pytest.mark.parametrize("clauses, variables", [
+    ([[]], [1]),                          # an empty clause fires nothing
+    ([[], [-1, 2]], [1]),
+    ([[1, -1], [2]], [1]),                # a tautology is inert
+    ([[1, -1], [-1, 2]], [1, 2]),
+    ([[1, 2]], [3, 4]),                   # inputs outside the formula
+    ([[1], [-1, 2]], []),                 # zero inputs: one lane
+    ([[1], [-1]], []),
+    ([], [1, 2]),
+])
+def test_propagate_lanes_edge_cases(clauses, variables):
+    formula = F(*clauses)
+    same_rows(lane_rows(formula, variables), staged_rows(formula, variables))
+
+
+def test_propagate_lanes_keeps_empty_clause_semantics():
+    lanes = propagate_lanes(F([]), [])
+    assert lanes.fail == 0 and lanes.bits(lanes.fail) == "0"
+    assert not propagate_staged(F([])).is_bottom
+
+
+def test_propagate_lanes_one_lane_without_inputs():
+    lanes = propagate_lanes(F([3], [-3, 4]), [])
+    assert lanes.order == ()
+    assert lanes.bits(lanes.masks[4]) == "1"
+    assert lanes.fail == 0
+
+
+def test_propagate_lanes_refuses_thirteen_inputs_before_building_masks(monkeypatch):
+    def no_masks(order):
+        raise AssertionError("masks built before the enumeration guard")
+
+    monkeypatch.setattr(cnf, "indicator_lanes", no_masks)
+    with pytest.raises(ValueError, match="refusing to enumerate over 13 variables"):
+        propagate_lanes(F([1, 2]), range(1, 14))
+
+
+def test_enumeration_limit_is_checked_in_one_place(monkeypatch):
+    from unitprop.circuit import Circuit
+    from unitprop.propagator import Propagator, tabulate
+    from unitprop.verify import check_equiv_propagator_circuit, enumerate_assignments
+
+    monkeypatch.setattr(cnf, "ENUMERATION_LIMIT", 2)
+    prop = Propagator(F([-1, -2, 3]), frozenset({1, 2, 3}), 3)
+    circ = Circuit([f"e{i}" for i in range(6)], [], "e0")
+    routes = (
+        lambda: list(iter_assignments([1, 2, 3])),
+        lambda: list(assignment_literals([1, 2, 3])),
+        lambda: enumerate_assignments([1, 2, 3]),
+        lambda: propagate_lanes(prop.formula, prop.inputs),
+        lambda: tabulate(prop),
+        lambda: check_equiv_propagator_circuit(prop, circ),
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match=r"refusing to enumerate over 3 variables \(> 2\)"):
+            route()
+    assert len(list(iter_assignments([1, 2]))) == 9
+
+
 # --- DIMACS -------------------------------------------------------------------
 
 def test_dimacs_round_trip():
@@ -329,3 +444,27 @@ def test_dimacs_errors():
         parse_dimacs("p dnf 2 1\n1 0\n")
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 2\n")
+
+
+SATLIB = """c This Formular is generated by mcnf
+c
+c    horn? no
+c    forced? no
+c    mixed sat? no
+c    clause length = 3
+c
+p cnf 4  3
+ 1 -2 3 0
+-1 4 0
+2 0
+%
+0
+
+"""
+
+
+def test_dimacs_satlib_percent_trailer_ends_clauses():
+    f = parse_dimacs(SATLIB)
+    assert f == CnfFormula([[1, -2, 3], [-1, 4], [2]])
+    with pytest.raises(ValueError, match="non-integer token '%x'"):
+        parse_dimacs("p cnf 1 1\n1 0\n%x\n")

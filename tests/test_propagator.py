@@ -271,6 +271,45 @@ def test_tabulate_matches_eval_filtering():
         assert eval_filtering(prop, PartialAssignment(lits, universe=prop.inputs)) is value
 
 
+def scalar_table(prop):
+    """Reference for tabulate: one eval_filtering call per assignment."""
+    return {a.literals: eval_filtering(prop, a) for a in iter_assignments(prop.inputs)}
+
+
+def test_tabulate_matches_eval_filtering_on_seeded_corpus():
+    for seed in range(240):
+        horn = seed % 2 == 1
+        prop = random_propagator(91000 + seed, max_vars=6, max_clauses=12,
+                                 max_inputs=4, horn=horn)
+        table = tabulate(prop)
+        assert table.variables == tuple(sorted(prop.inputs))
+        assert list(table.rows) == [a.literals for a in iter_assignments(prop.inputs)]
+        assert dict(table.items()) == scalar_table(prop), (seed, horn)
+
+
+@pytest.mark.parametrize("prop", [
+    Propagator(F([], [-1, 2]), frozenset({1}), 2),            # empty clause
+    Propagator(F([1, -1], [-1, 2]), frozenset({1}), 2),       # tautological clause
+    Propagator(F([-1, 2], [-2, -1]), frozenset({1, 2}), 1),   # output is an input
+    Propagator(F([-1, 2]), frozenset({1}), 9),                # output outside the formula
+    Propagator(F([-1, 2]), frozenset({1, 3, 4}), 2),          # inputs outside the formula
+    Propagator(F([-3, 2], [3]), frozenset(), 2),              # zero inputs
+    Propagator(F(), frozenset({1, 2}), 2),
+], ids=["empty-clause", "tautology", "output-input", "output-outside", "inputs-outside",
+        "no-inputs", "empty-formula"])
+def test_tabulate_edge_cases_match_eval_filtering(prop):
+    assert dict(tabulate(prop).items()) == scalar_table(prop)
+
+
+def test_tabulate_edge_case_values():
+    assert tabulate(Propagator(F([-1, 2]), frozenset({1}), 9)).rows == {
+        fs(): Filtering.NA, fs({1}): Filtering.NA, fs({-1}): Filtering.NA}
+    assert tabulate(Propagator(F([-1, 2], [-2, -1]), frozenset({1, 2}), 1)).rows[fs({1})] \
+        is Filtering.FAIL
+    assert tabulate(Propagator(F([], [-1, 2]), frozenset({1}), 2)).rows[fs({1})] \
+        is Filtering.TRUE
+
+
 def test_tabulate_guard():
     prop = Propagator(F(list(range(1, 14))), frozenset(range(1, 14)), 1)
     with pytest.raises(ValueError):

@@ -1,22 +1,28 @@
+import random
+
 import pytest
 
+import unitprop.verify as verify
 from unitprop.circuit import Circuit, evaluate, gate, validate_monotone
-from unitprop.cnf import CnfFormula
+from unitprop.cnf import CnfFormula, PartialAssignment
 from unitprop.propagator import (
     Filtering,
     FunctionTable,
     Matching,
     Propagator,
     boolean_representation,
+    tabulate,
 )
 from unitprop.verify import (
     SUITES,
+    Counterexample,
     check_equiv_propagator_circuit,
     check_monotone,
     enumerate_assignments,
     random_cnf,
     random_monotone_circuit,
     random_monotone_table,
+    random_propagator,
     realize_monotone_table,
     run_suite,
 )
@@ -99,6 +105,53 @@ def test_check_monotone_prefers_smallest_gap():
     assert len(violation.second.literals - violation.first.literals) == 1
 
 
+def random_matching_table(rng, k):
+    order = tuple(range(1, k + 1))
+    density = rng.random()
+    rows = {a.literals: (Matching.YES if rng.random() < density else Matching.NO)
+            for a in enumerate_assignments(order)}
+    return FunctionTable(order, rows)
+
+
+def test_check_monotone_cover_scan_matches_pair_scan(monkeypatch):
+    rng = random.Random(4242)
+    tables = [random_matching_table(rng, rng.randint(0, 4)) for _ in range(300)]
+    failing = 0
+    for seed in range(400):
+        prop = random_propagator(seed, max_vars=5, max_clauses=10, max_inputs=4)
+        table = tabulate(prop)
+        if any(v is Filtering.FAIL for _, v in table.items()):
+            tables.append(table.as_matching())
+            failing += 1
+    assert failing >= 50
+    expected = [verify._check_monotone_pairs(t) for t in tables]
+    assert sum(e is not None for e in expected) >= 100
+
+    def no_pair_scan(table):
+        raise AssertionError("downward-closed table fell back to the pair scan")
+
+    monkeypatch.setattr(verify, "_check_monotone_pairs", no_pair_scan)
+    assert [check_monotone(t) for t in tables] == expected
+
+
+HOLE_CSV = (
+    "assignment,bits,outcome\n"
+    '"a=x,b=x",0000,yes\n'
+    '"a=1,b=1",1100,no\n'
+    '"a=0,b=x",0010,yes\n'
+)
+
+
+def test_check_monotone_falls_back_on_tables_with_holes():
+    # a=1,b=x and a=x,b=1 are missing, so no cover edge reaches a=1,b=1
+    table = FunctionTable.parse_csv(HOLE_CSV)
+    violation = check_monotone(table)
+    assert violation == verify._check_monotone_pairs(table)
+    assert violation.first.literals == fs()
+    assert violation.second.literals == fs({1, 2})
+    assert violation.outcomes == (Matching.YES, Matching.NO)
+
+
 def test_check_monotone_rejects_filtering_tables():
     table = FunctionTable((1,), {fs(): Filtering.NA})
     with pytest.raises(ValueError):
@@ -144,6 +197,24 @@ def test_check_equiv_flags_protocol_violations_distinctly():
     violation = check_equiv_propagator_circuit(broken, wire)
     assert violation is not None
     assert violation.witness == "protocol-violation"
+
+
+def test_check_equiv_reports_first_bad_row_mismatch_before_failure():
+    # rows in order: .. M . F M M M . (M mismatch, F propagation fails)
+    prop = Propagator(CnfFormula([[-4, -1], [-2, -1], [1, 2, 4]]), frozenset({1, 2}), 4)
+    circ = Circuit(["e1", "e2", "e3", "e4"], [gate("or", "g", "e3", "e4")], "g")
+    violation = check_equiv_propagator_circuit(prop, circ)
+    assert violation == Counterexample(PartialAssignment([-2], universe=[1, 2]), None,
+                                       "equivalence-mismatch", (Matching.NO, 1))
+
+
+def test_check_equiv_reports_first_bad_row_failure_before_mismatch():
+    # rows in order: . . F F F F M M F
+    prop = Propagator(CnfFormula([[-3, -1], [3]]), frozenset({1, 3}), 1)
+    circ = Circuit(["e1", "e2", "e3", "e4"], [gate("or", "g", "e1", "e3", "e4")], "g")
+    violation = check_equiv_propagator_circuit(prop, circ)
+    assert violation == Counterexample(PartialAssignment([-3], universe=[1, 3]), None,
+                                       "protocol-violation", (Filtering.FAIL, 1))
 
 
 # --- generators ----------------------------------------------------------------------
