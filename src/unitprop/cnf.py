@@ -5,14 +5,19 @@ Clauses are frozensets of literals, formulas are immutable sets of clauses
 over the variable universe induced by their clauses.
 
 Two unit-resolution procedures are provided.  ``propagate_standard`` is the
-classic destructive loop (pick a unit clause, simplify, repeat).
-``propagate_staged`` derives the same outcome in synchronous rounds and
-records which literals were first produced at which round, which is what the
-stage-indexed constructions in :mod:`unitprop.reify` are built on.
+classic destructive loop (pick a unit clause, simplify, repeat); it always
+selects the smallest pending unit literal in ``lit_key`` order, and runs
+occurrence-indexed, in O(|F| log n) for |F| literal occurrences over n
+variables.  ``propagate_staged`` derives the same outcome in synchronous
+rounds and records which literals were first produced at which round, which
+is what the stage-indexed constructions in :mod:`unitprop.reify` are built
+on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush
 from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -48,8 +53,10 @@ def clause_of(lits: Iterable[Lit]) -> Clause:
     return frozenset(check_lit(l) for l in lits)
 
 
-def clause_key(clause: Clause) -> tuple:
-    return tuple(sorted((lit_key(l) for l in clause)))
+def clause_key(clause: Clause) -> tuple[int, ...]:
+    # the literals as sorted ints 2|l| + (l < 0): the same order as sorting
+    # them by lit_key, and the same clause order as comparing those tuples
+    return tuple(sorted([(abs(l) << 1) | (l < 0) for l in clause]))
 
 
 def render_lit(lit: Lit, names: Mapping[int, str] | None = None) -> str:
@@ -79,10 +86,22 @@ class CnfFormula:
     __slots__ = ("clauses", "names", "_variables")
 
     def __init__(self, clauses: Iterable[Iterable[Lit]] = (), names: Mapping[int, str] | None = None):
-        unique = {clause_of(c) for c in clauses}
+        unique: set[Clause] = set()
+        for lits in clauses:
+            # a frozenset can be checked as it is; anything else is checked
+            # before deduplication, which would hide a True next to a 1
+            if type(lits) is not frozenset:
+                lits = tuple(lits)
+            for l in lits:
+                if type(l) is not int or not l:
+                    # check_lit in literal order: raises on the first
+                    # non-literal, lets an int subclass through
+                    lits = clause_of(lits)
+                    break
+            unique.add(frozenset(lits))
         object.__setattr__(self, "clauses", tuple(sorted(unique, key=clause_key)))
         object.__setattr__(self, "names", dict(names) if names else {})
-        object.__setattr__(self, "_variables", frozenset(abs(l) for c in self.clauses for l in c))
+        object.__setattr__(self, "_variables", frozenset(map(abs, chain.from_iterable(self.clauses))))
 
     def __setattr__(self, name, value):
         raise AttributeError("CnfFormula is immutable")
@@ -102,7 +121,14 @@ class CnfFormula:
         return len(self.clauses)
 
     def __contains__(self, clause) -> bool:
-        return frozenset(clause) in set(self.clauses)
+        try:
+            target = frozenset(clause)
+            key = clause_key(target)
+        except TypeError:
+            return False  # not a clause of literals
+        # the clauses are sorted by clause_key
+        idx = bisect_left(self.clauses, key, key=clause_key)
+        return idx < len(self.clauses) and self.clauses[idx] == target
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CnfFormula):
@@ -276,36 +302,65 @@ class PropagationResult:
         return f"PropagationResult({tag}, {len(self.stages)} stages)"
 
 
+def _occurrences(clauses: tuple[Clause, ...]) -> dict[Lit, list[int]]:
+    """Positions of the clauses each literal occurs in."""
+    occurrences: dict[Lit, list[int]] = {}
+    for idx, clause in enumerate(clauses):
+        for l in clause:
+            occurrences.setdefault(l, []).append(idx)
+    return occurrences
+
+
 def propagate_standard(formula: CnfFormula) -> PropagationResult:
     """Destructive unit resolution: select a unit, simplify, repeat.
 
     Fails (bottom) exactly when the empty clause is present or derived.  The
-    argument is not modified; simplification happens on a working copy.  The
-    trace records selected literals in order, plus the complement whose
-    clause collapsed when failure is derived.
+    argument is not modified.  Each step selects the smallest pending unit
+    literal in ``lit_key`` order.  The trace records selected literals in
+    order, plus the complement whose clause collapsed when failure is
+    derived.
+
+    Simplification is kept implicit: each clause counts its literals whose
+    negation is not yet selected, and is a unit at count 1 and empty at
+    count 0.  Only the clauses holding the negation of the selected literal
+    are touched, and each literal enters the heap of pending units at most
+    once, so a run costs O(|F| + n log n), within O(|F| log n).  A clause
+    holding a selected literal (a satisfied one, or a tautology once either
+    of its clashing literals is selected) keeps that literal, so it is never
+    empty and its unit, already queued, is not queued again.
     """
-    clauses = set(formula.clauses)
-    produced: set[Lit] = set()
+    clauses = formula.clauses
+    occurrences = _occurrences(clauses)
+    unfalsified = [len(clause) for clause in clauses]
+    pending: list[tuple[tuple[int, bool], Lit]] = []  # unit literals by lit_key
+    queued: set[Lit] = set()  # every literal ever pending, so each is pushed once
+    for clause in clauses:
+        if not clause:
+            return PropagationResult((), is_bottom=True)
+        if len(clause) == 1:
+            (w,) = clause
+            queued.add(w)
+            heappush(pending, (lit_key(w), w))
+    selected: set[Lit] = set()
     trail: list[frozenset[Lit]] = []
-    empty = frozenset()
-    while empty not in clauses:
-        units = [next(iter(c)) for c in clauses if len(c) == 1]
-        if not units:
-            break
-        lit = min(units, key=lit_key)
-        satisfied = {c for c in clauses if lit in c}
-        weakened = {c for c in clauses if -lit in c}
-        clauses -= satisfied | weakened
-        clauses |= {c - {-lit} for c in weakened}
-        if lit not in produced:
-            produced.add(lit)
-            trail.append(frozenset((lit,)))
-        if empty in clauses:
-            # the collapsed clause was the opposite unit, record the pair
-            if -lit not in produced:
+    while pending:
+        _, lit = heappop(pending)
+        selected.add(lit)
+        trail.append(frozenset((lit,)))
+        for idx in occurrences.get(-lit, ()):
+            unfalsified[idx] -= 1
+            if unfalsified[idx] == 1:
+                w = next(l for l in clauses[idx] if -l not in selected)
+                if w not in queued:
+                    queued.add(w)
+                    heappush(pending, (lit_key(w), w))
+            elif not unfalsified[idx]:
+                # the collapsed clause was the opposite unit, record the pair
+                # (the opposite was never selected: after it, lit could not
+                # have become a unit)
                 trail.append(frozenset((-lit,)))
-            break
-    return PropagationResult(trail, is_bottom=empty in clauses)
+                return PropagationResult(trail, is_bottom=True)
+    return PropagationResult(trail, is_bottom=False)
 
 
 def propagation_stage(formula: CnfFormula, assigned: Iterable[Lit]) -> frozenset[Lit]:
@@ -325,15 +380,6 @@ def propagation_stage(formula: CnfFormula, assigned: Iterable[Lit]) -> frozenset
             if all(-t in have for t in clause if t != w):
                 out.add(w)
     return frozenset(out)
-
-
-def _occurrences(clauses: tuple[Clause, ...]) -> dict[Lit, list[int]]:
-    """Positions of the clauses each literal occurs in."""
-    occurrences: dict[Lit, list[int]] = {}
-    for idx, clause in enumerate(clauses):
-        for l in clause:
-            occurrences.setdefault(l, []).append(idx)
-    return occurrences
 
 
 def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> PropagationResult:

@@ -93,6 +93,14 @@ class ReifiedIndex:
             raise ValueError(f"stage {stage} outside 0..{self.n + 1}")
         return self.offset + self._rank[base] * 2 * (self.n + 2) + 2 * stage + (1 if positive else 2)
 
+    def _round_zero_ids(self) -> dict[Lit, int]:
+        """Id of each source literal's mirror at round 0; at round s it is 2 s more."""
+        ids: dict[Lit, int] = {}
+        for v in self.base_vars:
+            ids[v] = self.id_of(v, 0, True)
+            ids[-v] = self.id_of(v, 0, False)
+        return ids
+
     def delta(self, lit: Lit, stage: int) -> ReifiedVariable:
         """Mirror variable recording that ``lit`` holds by ``stage``."""
         check_lit(lit)
@@ -155,21 +163,6 @@ class ReifiedFormula:
     def count(self, kind: str) -> int:
         return sum(1 for role, _ in self.emissions if role.kind == kind)
 
-    def clauses_of_rank(self, rank: int) -> list[tuple[ClauseRole, frozenset]]:
-        """Emissions whose heads are fixed at round ``rank`` (ledger order).
-
-        Rank 0 holds the seeding units, rank 1 the rank-1 init clauses plus
-        the injection clauses, ranks 2..n+1 the prop/ded clauses.
-        """
-        out = []
-        for role, clause in self.emissions:
-            if role.kind == "inject":
-                if rank == 1:
-                    out.append((role, clause))
-            elif role.rank == rank:
-                out.append((role, clause))
-        return out
-
     def roles_for(self, clause) -> list[ClauseRole]:
         target = frozenset(clause)
         return [role for role, emitted in self.emissions if emitted == target]
@@ -224,33 +217,39 @@ def _mirror(formula: CnfFormula, inject: frozenset[int]) -> ReifiedFormula:
     # the emissions of reify, then the injection clauses of reify_injected
     index = ReifiedIndex(formula.variables)
     n = index.n
+    # the mirror of literal l at round s has id at[l] + 2 s, as in id_of
+    at = index._round_zero_ids()
     emissions: list[tuple[ClauseRole, frozenset]] = []
 
     for clause in formula.clauses:
         if len(clause) == 1:
             (w,) = clause
-            seed = index.delta_id(w, 0)
+            seed = at[w]
             emissions.append((ClauseRole("init", 0), frozenset((seed,))))
-            emissions.append((ClauseRole("init", 1), frozenset((-seed, index.delta_id(w, 1)))))
+            emissions.append((ClauseRole("init", 1), frozenset((-seed, seed + 2))))
 
     for stage in range(2, n + 2):
+        role = ClauseRole("prop", stage)
         for v in index.base_vars:
-            for positive in (True, False):
-                prev = index.id_of(v, stage - 1, positive)
-                here = index.id_of(v, stage, positive)
-                emissions.append((ClauseRole("prop", stage), frozenset((-prev, here))))
+            for lit in (v, -v):
+                here = at[lit] + 2 * stage
+                emissions.append((role, frozenset((2 - here, here))))
 
+    wide = [sorted(clause, key=lit_key) for clause in formula.clauses if len(clause) >= 2]
     for stage in range(2, n + 2):
-        for clause in formula.clauses:
-            if len(clause) < 2:
-                continue
-            for w in sorted(clause, key=lit_key):
-                body = {-index.delta_id(-t, stage - 1) for t in clause if t != w}
-                emissions.append((ClauseRole("ded", stage), frozenset(body | {index.delta_id(w, stage)})))
+        role = ClauseRole("ded", stage)
+        shift = 2 * stage
+        for lits in wide:
+            for w in lits:
+                # w's mirror at this round, fired when every other literal's
+                # negation was fixed one round earlier
+                body = [2 - shift - at[-t] for t in lits if t != w]
+                body.append(at[w] + shift)
+                emissions.append((role, frozenset(body)))
 
     for v in sorted(inject):
-        emissions.append((ClauseRole("inject"), frozenset((-v, index.id_of(v, 1, True)))))
-        emissions.append((ClauseRole("inject"), frozenset((v, index.id_of(v, 1, False)))))
+        emissions.append((ClauseRole("inject"), frozenset((-v, at[v] + 2))))
+        emissions.append((ClauseRole("inject"), frozenset((v, at[-v] + 2))))
 
     mirror = CnfFormula((clause for _, clause in emissions), names=_mirror_names(formula, index))
     return ReifiedFormula(mirror, index, emissions, injected=inject)

@@ -182,10 +182,16 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
             return input_nodes[rv_id]
         return input_nodes[-lit]
 
+    # emissions by the round that fixes their heads, in ledger order: rank 0
+    # the seeding units, rank 1 the rank-1 init clauses plus the injection
+    # clauses, ranks 2..n+1 the prop/ded clauses
+    by_rank: dict[int, list[frozenset]] = {}
+    for role, clause in mirrored.emissions:
+        by_rank.setdefault(1 if role.kind == "inject" else role.rank, []).append(clause)
+
     for stage in range(1, n + 2):
-        staged = list(mirrored.clauses_of_rank(stage))
         by_head: dict[int, list[frozenset]] = {}
-        for _, clause in staged:
+        for clause in by_rank.get(stage, ()):
             head = next(l for l in clause
                         if l > 0 and (rv := index.describe(l)) is not None and rv.stage == stage)
             by_head.setdefault(head, []).append(clause)

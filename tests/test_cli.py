@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from unitprop.circuit import evaluate, parse_circuit
@@ -212,3 +217,12 @@ def test_check_monotone_csv_with_holes(tmp_path, capsys):
     path.write_text('assignment,bits,outcome\n"a=x,b=x",0000,yes\n"a=1,b=1",1100,no\n')
     assert main(["check-monotone", str(path)]) == 1
     assert capsys.readouterr().out == "monotonicity-violation I={} J={a,b} outcomes=yes/no\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "three.cnf"
+    path.write_text("p cnf 3 3\n1 0\n-1 2 0\n-2 -3 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "unitprop", "propagate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 2 -3\n", "")

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from unitprop.cnf import (
     format_dimacs,
     indicator_lanes,
     iter_assignments,
+    lit_key,
     lit_var,
     neg,
     parse_dimacs,
@@ -21,6 +24,7 @@ from unitprop.cnf import (
     propagation_stage,
     restrict,
 )
+from unitprop.reify import reify
 from unitprop.verify import random_cnf
 
 
@@ -273,6 +277,157 @@ def test_bottom_traces_contain_a_complementary_pair():
                 assert any(-l in res.produced for l in res.produced)
             else:
                 assert not any(-l in res.produced for l in res.produced)
+
+
+# --- the standard engine against the set-based loop ----------------------------
+
+def _destructive_reference(formula):
+    """The set-based destructive loop: rescans every clause per selected unit."""
+    clauses = set(formula.clauses)
+    produced = set()
+    trail = []
+    empty = frozenset()
+    while empty not in clauses:
+        units = [next(iter(c)) for c in clauses if len(c) == 1]
+        if not units:
+            break
+        lit = min(units, key=lit_key)
+        satisfied = {c for c in clauses if lit in c}
+        weakened = {c for c in clauses if -lit in c}
+        clauses -= satisfied | weakened
+        clauses |= {c - {-lit} for c in weakened}
+        if lit not in produced:
+            produced.add(lit)
+            trail.append(frozenset((lit,)))
+        if empty in clauses:
+            # the collapsed clause was the opposite unit, record the pair
+            if -lit not in produced:
+                trail.append(frozenset((-lit,)))
+            break
+    return PropagationResult(trail, is_bottom=empty in clauses)
+
+
+def standard_corpus(count=1100, seed=20261018):
+    """Random formulas of both modes with tautologies, duplicates, empty
+    clauses and complementary units mixed in."""
+    rng = random.Random(seed)
+    for i in range(count):
+        for horn in (False, True):
+            f = random_cnf(rng.randint(1, 10), rng.randint(0, 40), maxlen=rng.randint(1, 4),
+                           seed=seed + i, horn=horn)
+            clauses = [list(c) for c in f.clauses]
+            variables = sorted(f.variables) or [1]
+            for _ in range(rng.randint(0, 3)):
+                v, w = rng.choice(variables), rng.choice(variables)
+                clauses.append([v, -v, w])
+            clauses += [list(c)[::-1] for c in rng.sample(f.clauses, min(len(f.clauses), 2))]
+            if rng.random() < 0.05:
+                clauses.append([])
+            if rng.random() < 0.2:
+                v = rng.choice(variables)
+                clauses += [[v], [-v]]
+            rng.shuffle(clauses)
+            yield CnfFormula(clauses)
+
+
+def test_standard_engine_matches_the_set_based_loop():
+    outcomes = set()
+    for f in standard_corpus():
+        got, want = propagate_standard(f), _destructive_reference(f)
+        assert got.stages == want.stages, format_dimacs(f)
+        assert got.is_bottom == want.is_bottom, format_dimacs(f)
+        outcomes.add((got.is_bottom, len(got.stages) > 1))
+    # failing and succeeding runs, with and without derivations
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("clauses", [
+    [[1, -1, 2], [-2]],             # tautology beside a unit
+    [[1], [-1, 1, 2], [-2]],        # tautology satisfied, then weakened
+    [[2], [-2, 1], [1, -1, 3], [-3]],
+    [[1], [-1]],
+    [[-1], [1]],
+    [[1], [-1, 2], [-2, -1]],
+    [[], [1]],
+    [[3], [-3, -1], [-3, 1]],
+])
+def test_standard_engine_edge_cases(clauses):
+    f = CnfFormula(clauses)
+    got, want = propagate_standard(f), _destructive_reference(f)
+    assert (got.stages, got.is_bottom) == (want.stages, want.is_bottom)
+
+
+def test_standard_engine_is_not_quadratic_on_a_long_chain():
+    rng = random.Random(7)
+    ids = list(range(1, 2001))
+    rng.shuffle(ids)
+    clauses = [[ids[0]]] + [[-ids[i], ids[i + 1]] for i in range(len(ids) - 1)]
+    rng.shuffle(clauses)
+    f = CnfFormula(clauses)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        res = propagate_standard(f)
+        best = min(best, time.perf_counter() - start)
+    assert res.outcome == propagate_staged(f).outcome == frozenset(ids)
+    assert [next(iter(s)) for s in res.stages] == ids
+    assert best < 0.1, f"{best:.3f} s for a 2000-variable chain"
+
+
+# --- canonical order and validation -------------------------------------------
+
+def _lit_key_order(clause):
+    return tuple(sorted(lit_key(l) for l in clause))
+
+
+def test_canonical_order_is_the_lit_key_order():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        raw = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 5))]
+               for _ in range(rng.randint(0, 30))]
+        raw += [c[::-1] for c in raw[:3]]
+        assert CnfFormula(raw).clauses == tuple(sorted(set(map(frozenset, raw)), key=_lit_key_order))
+    for i in range(20):
+        emitted = [clause for _, clause in reify(random_cnf(6, 10, seed=i)).emissions]
+        rng.shuffle(emitted)
+        assert CnfFormula(emitted).clauses == tuple(sorted(set(emitted), key=_lit_key_order))
+
+
+@pytest.mark.parametrize("clauses, bad", [
+    ([[1, True]], True),     # frozenset([1, True]) alone would drop True
+    ([[1, 1.0]], 1.0),
+    ([[1, [2]]], [2]),
+    ([[0]], 0),
+    ([[2, -1, 0]], 0),
+    ((frozenset((True,)),), True),
+    ([[3], iter([1, False])], False),
+])
+def test_non_literals_are_rejected_with_their_name(clauses, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'not a literal: {bad!r}')}$"):
+        CnfFormula(clauses)
+
+
+def test_int_subclass_literals_are_accepted():
+    class Id(int):
+        pass
+
+    assert CnfFormula([[Id(3), -1], (Id(2),)]) == CnfFormula([[3, -1], [2]])
+
+
+def test_membership():
+    rng = random.Random(8)
+    for f in corpus(count=100):
+        present = set(f.clauses)
+        for clause in f.clauses:
+            assert clause in f
+            assert sorted(clause, key=lit_key, reverse=True) in f
+        for _ in range(10):
+            probe = frozenset(rng.choice((1, -1)) * rng.randint(1, 11) for _ in range(rng.randint(0, 3)))
+            assert (probe in f) == (probe in present)
+    f = F([1, -2], [3])
+    for probe in ([1, "a"], ["a"], [[1]], 5, None, [0], [1.5]):
+        assert probe not in f
 
 
 # --- assignment enumeration ---------------------------------------------------
