@@ -402,7 +402,7 @@ class FunctionTable:
     def parse_csv(cls, text: str) -> "FunctionTable":
         import csv
 
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if not header or header[0] != "assignment":
             raise ValueError("missing table header")

@@ -120,9 +120,6 @@ class ReifiedIndex:
         stage, sign = divmod(rest, 2)
         return ReifiedVariable(self.base_vars[rank], stage, sign == 0)
 
-    def __contains__(self, ident: int) -> bool:
-        return self.describe(ident) is not None
-
     def ids(self) -> Iterable[int]:
         for base in self.base_vars:
             for stage in range(self.n + 2):

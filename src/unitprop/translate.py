@@ -11,6 +11,9 @@ wired in, and the mirror's rounds are replayed as circuit layers.  Nodes
 that collapse to a constant are kept in the always-0 / always-1 ledgers
 instead of the circuit; everything else becomes tie/and gates, with an or
 gate joining alternatives when several clauses can fire the same node.
+The replay rests on the mirror's layout: the head of every emitted clause
+is its largest literal, and a literal is a mirror literal exactly when its
+variable lies above the source ids.
 """
 
 from __future__ import annotations
@@ -25,12 +28,16 @@ from .propagator import Propagator
 from .reify import ReifiedFormula, reify_injected
 
 _SAFE_LABEL = re.compile(r"^[^\s#~][^\s#]*$")
+_NODE_LABEL = re.compile(r"_\d+[+-](_alt\d+)?$")
 
 
 def _safe_names(variables, names: Mapping[int, str] | None) -> dict[int, str]:
+    # extraction labels nodes <name>_<round><sign>[_alt<k>]; a name of that
+    # shape could collide with another variable's node, so all fall back to ids
     candidate = {v: (names or {}).get(v, str(v)) for v in variables}
     values = list(candidate.values())
-    if len(set(values)) != len(values) or not all(_SAFE_LABEL.match(n) for n in values):
+    if len(set(values)) != len(values) or not all(
+            _SAFE_LABEL.match(n) and not _NODE_LABEL.search(n) for n in values):
         return {v: str(v) for v in variables}
     return candidate
 
@@ -125,18 +132,13 @@ class CircuitExtraction:
     provenance: dict[str, str]
 
 
-_NODE = "node"
-_TRUE = "true"
-_FALSE = "false"
-
-
 def extract_circuit(prop: Propagator) -> CircuitExtraction:
     # inputs or output outside the formula are legitimate (the circuit
     # compiler's degenerate cases produce them); they are wired straight
     # through or collapse to a constant below
     mirrored = reify_injected(prop.formula, prop.inputs & prop.formula.variables)
     index = mirrored.index
-    n = index.n
+    n, offset = index.n, index.offset
     safe = _safe_names(set(index.base_vars) | prop.inputs | {prop.output}, prop.formula.names)
     ordered_inputs = sorted(prop.inputs)
     input_nodes: dict[Lit, str] = {}
@@ -145,148 +147,118 @@ def extract_circuit(prop: Propagator) -> CircuitExtraction:
         input_nodes[-v] = "~" + safe[v]
     input_labels = [input_nodes[v] for v in ordered_inputs] + [input_nodes[-v] for v in ordered_inputs]
 
-    def node_label(ident: int) -> str:
-        rv = index.describe(ident)
-        return rv.label(safe[rv.base])
+    labels: dict[int, str] = {}
 
-    status: dict[int, tuple] = {}
-    seeded = {next(iter(c)) for c in prop.formula.clauses if len(c) == 1}
+    def node_label(ident: int) -> str:
+        if ident not in labels:
+            rv = index.describe(ident)
+            labels[ident] = rv.label(safe[rv.base])
+        return labels[ident]
+
+    # the emissions firing each mirror id, in ledger order: a clause's head
+    # is its largest literal, since body literals are negative and an
+    # injection clause's source literal lies below every mirror id; so at
+    # round 1 the init1 clause precedes the injection clauses, and at later
+    # rounds the prop carry clause precedes the ded clauses
+    heads: dict[int, list[frozenset]] = {}
+    for _, clause in mirrored.emissions:
+        heads.setdefault(max(clause), []).append(clause)
+
+    # mirror id -> True (fixed on every run), False (never fixed) or its gate label
+    status: dict[int, bool | str] = {}
     for v in index.base_vars:
         for positive in (True, False):
             ident = index.id_of(v, 0, positive)
-            if (v if positive else -v) in seeded:
-                status[ident] = (_TRUE,)
+            if ident in heads:  # seeded by a unit clause
+                status[ident] = True
             elif v not in prop.inputs:
-                status[ident] = (_FALSE,)
+                status[ident] = False
             # stage-0 nodes of injected variables without a seeding unit are
             # never referenced by any later clause, so they need no entry
 
-    def ledger(which: str) -> frozenset[str]:
-        return frozenset(node_label(i) for i, st in status.items() if st[0] == which)
+    def ledger(which: bool) -> frozenset[str]:
+        return frozenset(node_label(i) for i, st in status.items() if st is which)
 
-    initial_false, initial_true = ledger(_FALSE), ledger(_TRUE)
+    initial_false, initial_true = ledger(False), ledger(True)
 
     gates: list[Gate] = []
     layers: list[tuple[Gate, ...]] = []
     provenance: dict[str, str] = {}
-
-    def antecedent(lit: Lit) -> str | tuple:
-        # node whose value 1 means this body literal is falsified by the run
-        if lit < 0:
-            rv_id = -lit
-            if index.describe(rv_id) is not None:
-                st = status.get(rv_id)
-                if st is None:
-                    raise RuntimeError(f"mirror variable {rv_id} referenced before definition")
-                return st if st[0] != _NODE else st[1]
-            return input_nodes[rv_id]
-        return input_nodes[-lit]
-
-    # emissions by the round that fixes their heads, in ledger order: rank 0
-    # the seeding units, rank 1 the rank-1 init clauses plus the injection
-    # clauses, ranks 2..n+1 the prop/ded clauses
-    by_rank: dict[int, list[frozenset]] = {}
-    for role, clause in mirrored.emissions:
-        by_rank.setdefault(1 if role.kind == "inject" else role.rank, []).append(clause)
-
     for stage in range(1, n + 2):
-        by_head: dict[int, list[frozenset]] = {}
-        for clause in by_rank.get(stage, ()):
-            head = next(l for l in clause
-                        if l > 0 and (rv := index.describe(l)) is not None and rv.stage == stage)
-            by_head.setdefault(head, []).append(clause)
         layer_gates: list[Gate] = []
         for v in index.base_vars:
             for positive in (True, False):
                 head = index.id_of(v, stage, positive)
-                label = node_label(head)
                 fireable: list[list[str]] = []
-                forced = False
-                for clause in by_head.get(head, ()):
+                for clause in heads.get(head, ()):
                     sources: list[str] = []
-                    dropped = False
                     for lit in clause:
                         if lit == head:
                             continue
-                        node = antecedent(lit)
-                        if isinstance(node, tuple):
-                            if node[0] == _FALSE:
-                                dropped = True
-                                break
-                            continue  # always-true source: literal falls away
-                        sources.append(node)
-                    if dropped:
-                        continue
-                    if not sources:
-                        forced = True
-                        break
-                    fireable.append(sources)
-                if forced:
-                    status[head] = (_TRUE,)
+                        # node whose value 1 means this body literal is
+                        # falsified by the run; mirror ids lie above the offset
+                        node = status.get(-lit) if -lit > offset else input_nodes[-lit]
+                        if node is None:
+                            raise RuntimeError(f"mirror variable {-lit} referenced before definition")
+                        if node is False:
+                            break  # never falsified: the clause never fires
+                        if node is not True:  # always falsified: the literal falls away
+                            sources.append(node)
+                    else:
+                        fireable.append(sources)
+                        if not sources:
+                            break  # fires on every run
+                if not fireable or [] in fireable:  # never fires, or fires on every run
+                    status[head] = bool(fireable)
                     continue
-                if not fireable:
-                    status[head] = (_FALSE,)
-                    continue
+                label = status[head] = node_label(head)
                 if len(fireable) == 1:
-                    new = _connect(fireable[0], label)
+                    new, provenance[label] = _connect(fireable[0], label)
                     layer_gates.append(new)
-                    provenance[label] = _describe_sources(fireable[0], label)
                 else:
                     alts = []
                     for k, sources in enumerate(fireable, start=1):
                         alt = f"{label}_alt{k}"
-                        new = _connect(sources, alt)
+                        new, provenance[alt] = _connect(sources, alt)
                         layer_gates.append(new)
-                        provenance[alt] = _describe_sources(sources, alt)
                         alts.append(alt)
                     layer_gates.append(Gate("or", label, tuple(alts)))
                     provenance[label] = f"{label} <- any of {', '.join(alts)}"
-                status[head] = (_NODE, label)
         gates.extend(layer_gates)
         layers.append(tuple(layer_gates))
 
     if prop.output in prop.formula.variables:
         out_id = index.id_of(prop.output, n + 1, True)
-        out_status = status[out_id]
-        if out_status[0] == _NODE:
-            output = out_status[1]
-        else:
-            output = node_label(out_id)
-            kind = "const1" if out_status[0] == _TRUE else "const0"
-            gates.append(Gate(kind, output, ()))
-            provenance[output] = f"{output} collapsed to a constant"
+        output, label = status[out_id], node_label(out_id)
     elif prop.output in prop.inputs:
         # the output never occurs in the formula: only its own input unit
         # clause can produce it
         output = input_nodes[prop.output]
     else:
-        output = f"{safe[prop.output]}_{n + 1}+"
-        gates.append(Gate("const0", output, ()))
-        provenance[output] = f"{output} collapsed to a constant"
+        output, label = False, f"{safe[prop.output]}_{n + 1}+"
+    if isinstance(output, bool):
+        gates.append(Gate("const1" if output else "const0", label, ()))
+        provenance[label] = f"{label} collapsed to a constant"
+        output = label
 
-    circuit = Circuit(input_labels, gates, output)
     return CircuitExtraction(
-        circuit=circuit,
+        circuit=Circuit(input_labels, gates, output),
         reified=mirrored,
         initial_always_false=initial_false,
         initial_always_true=initial_true,
-        always_false=ledger(_FALSE),
-        always_true=ledger(_TRUE),
+        always_false=ledger(False),
+        always_true=ledger(True),
         layers=tuple(layers),
         provenance=provenance,
     )
 
 
-def _connect(sources: list[str], target: str) -> Gate:
-    if len(set(sources)) == 1:
-        return Gate("tie", target, (sources[0],))
-    return Gate("and", target, tuple(sources))
-
-
-def _describe_sources(sources: list[str], target: str) -> str:
-    if len(set(sources)) == 1:
-        return f"{target} <- {sources[0]}"
-    return f"{target} <- all of {', '.join(sorted(set(sources)))}"
+def _connect(sources: list[str], target: str) -> tuple[Gate, str]:
+    """Gate firing ``target`` once every source is 1, and its provenance line."""
+    distinct = set(sources)
+    if len(distinct) == 1:
+        return Gate("tie", target, (sources[0],)), f"{target} <- {sources[0]}"
+    return Gate("and", target, tuple(sources)), f"{target} <- all of {', '.join(sorted(distinct))}"
 
 
 def propagator_to_circuit(prop: Propagator) -> Circuit:

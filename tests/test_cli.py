@@ -142,6 +142,14 @@ def test_extract_circuit_output(tmp_path, or_reader_file, capsys):
         assert evaluate(circ, rep) == (1 if want is Matching.YES else 0)
 
 
+def test_extract_circuit_accepts_names_shaped_like_node_labels(tmp_path, capsys):
+    path = tmp_path / "clash.prop"
+    path.write_text("c inputs 1 2\nc output 3\nc var 1 a\nc var 2 a_1+\nc var 3 s\n"
+                    "p cnf 3 2\n-1 3 0\n-2 3 0\n")
+    assert main(["extract-circuit", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("input 1\ninput 2\ninput ~1\ninput ~2\n")
+
+
 def test_verify_suite_runs(capsys):
     assert main(["verify", "algorithm-agreement", "--seed", "3", "--count", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()

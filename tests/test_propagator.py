@@ -331,6 +331,14 @@ def test_table_csv_round_trip():
     assert parsed == table  # same ids because names map back
 
 
+def test_table_csv_reads_any_line_ending():
+    text = tabulate(OR_READER).format_csv()
+    assert FunctionTable.parse_csv(text.replace("\n", "\r\n")) == FunctionTable.parse_csv(text)
+    # a stray carriage return ends the line, as it does in a file read as text
+    with pytest.raises(ValueError, match="3 columns"):
+        FunctionTable.parse_csv(text.replace(",na\n", ",na\rx\n", 1))
+
+
 def test_table_csv_golden_first_lines():
     # the assignment field contains commas, so it is CSV-quoted
     text = tabulate(OR_READER).format_csv()

@@ -234,6 +234,29 @@ def test_inject_equivalence_random():
         assert mirror_part(left.produced) == mirror_part(right.produced)
 
 
+def test_emission_heads_and_id_ranges_random():
+    # circuit extraction relies on both: it groups emissions by max(clause)
+    # and tells mirror literals from source literals by id range
+    rng = random.Random(16)
+    injections = 0
+    for i in range(60):
+        f = random_cnf(rng.randint(1, 6), rng.randint(1, 10), 4, seed=800 + i, horn=i % 2 == 1)
+        chosen = [v for v in sorted(f.variables) if rng.random() < 0.5]
+        for rf in (reify(f), reify_injected(f, chosen)):
+            ix = rf.index
+            injections += rf.count("inject")
+            for role, clause in rf.emissions:
+                if role == ClauseRole("init", 0):
+                    continue
+                rank = 1 if role.kind == "inject" else role.rank
+                at_rank = [l for l in clause
+                           if l > 0 and (rv := ix.describe(l)) is not None and rv.stage == rank]
+                assert at_rank == [max(clause)]
+                for l in clause:
+                    assert (ix.describe(abs(l)) is not None) == (abs(l) > ix.offset)
+    assert injections > 0
+
+
 # --- failed literal -----------------------------------------------------------
 
 def test_failed_literal_detects_failure():
@@ -272,6 +295,7 @@ def test_failed_literal_rejects_unknown_variable():
 
 def test_failed_literal_random_agreement():
     rng = random.Random(16)
+    injections = 0
     for i in range(60):
         f = random_cnf(rng.randint(1, 6), rng.randint(1, 10), 3, seed=800 + i)
         if not f.variables:

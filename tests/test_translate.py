@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from unitprop.circuit import Circuit, evaluate, gate, validate_monotone
+from unitprop.circuit import Circuit, evaluate, format_circuit, gate, validate_monotone
 from unitprop.cnf import CnfFormula, iter_assignments
 from unitprop.propagator import (
     Matching,
@@ -15,6 +16,7 @@ from unitprop.verify import (
     check_equiv_propagator_circuit,
     random_failure_free_propagator,
     random_monotone_circuit,
+    random_propagator,
 )
 
 
@@ -276,3 +278,35 @@ def test_compile_input_label_output_with_dead_gates():
         fs({1, 3}), fs({1, 5}), fs({-1, 2, 4}), fs({-4, 5}), fs({-5, 6})}
     assert negative.output == 3
     assert negative.formula.names == {1: "e1", 2: "e2", 3: "s", 4: "u", 5: "w", 6: "t"}
+
+
+def test_extract_falls_back_to_ids_for_names_shaped_like_node_labels():
+    # variable "a_1+" would collide with the round-1 node of variable "a"
+    prop = Propagator(F([-1, 3], [-2, 3], names={1: "a", 2: "a_1+", 3: "s"}), frozenset({1, 2}), 3)
+    extraction = extract_circuit(prop)
+    assert extraction.circuit.inputs == ("1", "2", "~1", "~2")
+    assert check_equiv_propagator_circuit(prop, extraction.circuit) is None
+    alt = Propagator(F([-1, 2], names={1: "x_3-_alt2", 2: "s"}), frozenset({1}), 2)
+    assert extract_circuit(alt).circuit.inputs == ("1", "~1")
+
+
+# sha256 of the extraction output on the corpus below, computed before the
+# replay was rewritten to group emissions by head
+EXTRACTION_DIGEST = "fcf26b96c32eea4d37206e300857f31932770af4731981a72e43c8df90500a22"
+
+
+def test_extraction_output_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(20_000 + seed)
+        circ = random_monotone_circuit(2 * rng.randint(1, 3), rng.randint(0, 8), seed=seed)
+        for prop in (random_propagator(seed), random_propagator(10_000 + seed, horn=True),
+                     circuit_to_propagator(circ)):
+            x = extract_circuit(prop)
+            for part in (format_circuit(x.circuit, x.provenance),
+                         repr(sorted(x.always_false)), repr(sorted(x.always_true)),
+                         repr(sorted(x.initial_always_false)), repr(sorted(x.initial_always_true)),
+                         repr(x.layers)):
+                digest.update(part.encode())
+                digest.update(b"\0")
+    assert digest.hexdigest() == EXTRACTION_DIGEST
