@@ -59,6 +59,12 @@ def clause_key(clause: Clause) -> tuple[int, ...]:
     return tuple(sorted([(abs(l) << 1) | (l < 0) for l in clause]))
 
 
+def dimacs_clause(clause: Clause) -> str:
+    """A clause as a DIMACS line: its literals in ``lit_key`` order, then 0."""
+    # descending, then stably by variable: v before -v, with no Python key function
+    return " ".join([*map(str, sorted(sorted(clause, reverse=True), key=abs)), "0"])
+
+
 def render_lit(lit: Lit, names: Mapping[int, str] | None = None) -> str:
     name = (names or {}).get(abs(lit), str(abs(lit)))
     return name if lit > 0 else "-" + name
@@ -102,6 +108,23 @@ class CnfFormula:
         object.__setattr__(self, "clauses", tuple(sorted(unique, key=clause_key)))
         object.__setattr__(self, "names", dict(names) if names else {})
         object.__setattr__(self, "_variables", frozenset(map(abs, chain.from_iterable(self.clauses))))
+
+    def _merged(self, extra: Iterable[Clause]) -> "CnfFormula":
+        """``CnfFormula(self.clauses + tuple(extra), names=self.names)`` by insertion, not a sort.
+
+        For a few added clauses: frozensets of literals, not checked again.
+        """
+        clauses, variables = list(self.clauses), self._variables
+        for clause in extra:
+            idx = bisect_left(clauses, clause_key(clause), key=clause_key)
+            if idx == len(clauses) or clauses[idx] != clause:
+                clauses.insert(idx, clause)
+                if not variables.issuperset(map(abs, clause)):
+                    variables = variables.union(map(abs, clause))
+        merged = CnfFormula(names=self.names)
+        object.__setattr__(merged, "clauses", tuple(clauses))
+        object.__setattr__(merged, "_variables", variables)
+        return merged
 
     def __setattr__(self, name, value):
         raise AttributeError("CnfFormula is immutable")
@@ -239,8 +262,7 @@ def restrict(formula: CnfFormula, assignment) -> CnfFormula:
     The assignment may mention variables the formula does not; they join the
     universe through their unit clauses.
     """
-    lits = as_literals(assignment)
-    return CnfFormula(formula.clauses + tuple(frozenset((l,)) for l in lits), names=formula.names)
+    return formula._merged(frozenset((l,)) for l in as_literals(assignment))
 
 
 class PropagationResult:
@@ -522,9 +544,7 @@ def format_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
         lines.append(f"c var {var} {formula.names[var]}")
     max_var = max(formula.variables, default=0)
     lines.append(f"p cnf {max_var} {len(formula.clauses)}")
-    for clause in formula.clauses:
-        lits = sorted(clause, key=lit_key)
-        lines.append(" ".join(str(l) for l in lits + [0]))
+    lines.extend(map(dimacs_clause, formula.clauses))
     return "\n".join(lines) + "\n"
 
 

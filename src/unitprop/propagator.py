@@ -179,17 +179,14 @@ def propagator_to_nu(prop: Propagator) -> NuPropagator:
     formulas: blocking s in (s or a) and (s or -a) fails outright while s
     was never derivable.
     """
-    blocked = CnfFormula(prop.formula.clauses + (frozenset((-prop.output,)),),
-                         names=prop.formula.names)
-    return NuPropagator(prop.inputs, blocked)
+    return NuPropagator(prop.inputs, prop.formula._merged((frozenset((-prop.output,)),)))
 
 
 def _mirror_with_fail(formula: CnfFormula, inputs: frozenset[int]):
     """Mirror with ``inputs`` wired in, plus a fresh variable read off its clashes."""
     mirrored = reify_injected(formula, inputs & formula.variables)
     fail = _fresh_var(mirrored.formula.variables, inputs)
-    clauses = mirrored.formula.clauses + clash_clauses(mirrored, fail)
-    return mirrored, CnfFormula(clauses, names=mirrored.formula.names), fail
+    return mirrored, mirrored.formula._merged(clash_clauses(mirrored, fail)), fail
 
 
 def nu_to_propagator(nu: NuPropagator) -> Propagator:
@@ -229,9 +226,8 @@ def filtering_to_matchings(prop: Propagator) -> tuple[Propagator, Propagator, Pr
     of the mirror-backed counterpart.
     """
     fresh = _fresh_var(prop.formula.variables, prop.inputs, (prop.output,))
-    false_formula = CnfFormula(prop.formula.clauses + (frozenset((prop.output, fresh)),),
-                               names=prop.formula.names)
-    false_reader = Propagator(false_formula, prop.inputs, fresh)
+    false_reader = Propagator(prop.formula._merged((frozenset((prop.output, fresh)),)),
+                              prop.inputs, fresh)
     mirrored = reify_propagator(prop)
     fail_reader = Propagator(mirrored.formula, prop.inputs, mirrored.out_fail)
     return prop, false_reader, fail_reader
@@ -418,12 +414,17 @@ class FunctionTable:
             tokens = [t.partition("=") for t in row[0].split(",")]
             row_names = [name for name, _, _ in tokens]
             if variables is None:
+                numeric = {int(name) for name in row_names if name.isdigit()}
                 for name in row_names:
                     var = int(name) if name.isdigit() else len(by_name) + 1
-                    by_name[name] = var
                     if not name.isdigit():
+                        while var in numeric or var in names:  # taken: the next free id
+                            var += 1
                         names[var] = name
-                variables = tuple(by_name[name] for name in row_names)
+                    if name in by_name or var in by_name.values():
+                        raise ValueError(f"repeated table column: {name!r}")
+                    by_name[name] = var
+                variables = tuple(by_name.values())
             elif [n for n in row_names] != list(by_name):
                 raise ValueError("inconsistent variable order across rows")
             lits = []
@@ -437,7 +438,10 @@ class FunctionTable:
             outcome = OUTCOMES.get(row[2])
             if outcome is None:
                 raise ValueError(f"bad outcome: {row[2]!r}")
-            rows[frozenset(lits)] = outcome
+            key = frozenset(lits)
+            if key in rows:
+                raise ValueError(f"repeated table row: {row[0]!r}")
+            rows[key] = outcome
         if variables is None:
             raise ValueError("empty table")
         return cls(variables, rows, names=names)

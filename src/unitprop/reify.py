@@ -8,6 +8,9 @@ mirror so that restricting it by a partial assignment drives the
 simulation.  ``failed_literal_formula`` builds on that to express the
 failed-literal probe as a single propagation run.
 
+A :class:`ReifiedFormula` builds its ``formula`` on first read; ``format_reified``
+and circuit extraction read only its emission ledger and index.
+
 Rounds on the mirror are numbered from 0 (the seeding round), rounds on the
 source from 1; accessors on :class:`unitprop.cnf.PropagationResult` take the
 base explicitly.
@@ -15,12 +18,14 @@ base explicitly.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cnf import (
     CnfFormula,
     Lit,
     check_lit,
+    dimacs_clause,
     lit_key,
     restrict,
 )
@@ -95,11 +100,9 @@ class ReifiedIndex:
 
     def _round_zero_ids(self) -> dict[Lit, int]:
         """Id of each source literal's mirror at round 0; at round s it is 2 s more."""
-        ids: dict[Lit, int] = {}
-        for v in self.base_vars:
-            ids[v] = self.id_of(v, 0, True)
-            ids[-v] = self.id_of(v, 0, False)
-        return ids
+        span = 2 * (self.n + 2)
+        return {lit: self.offset + rank * span + (1 if lit > 0 else 2)
+                for rank, v in enumerate(self.base_vars) for lit in (v, -v)}
 
     def delta(self, lit: Lit, stage: int) -> ReifiedVariable:
         """Mirror variable recording that ``lit`` holds by ``stage``."""
@@ -121,10 +124,15 @@ class ReifiedIndex:
         return ReifiedVariable(self.base_vars[rank], stage, sign == 0)
 
     def ids(self) -> Iterable[int]:
+        return range(self.offset + 1, self.offset + 1 + len(self))
+
+    def layout(self) -> Iterator[tuple[int, int, int]]:
+        """``(id, base, stage)`` of each positive mirror variable in id order; ``id + 1`` is its negative."""
+        ident = self.offset + 1
         for base in self.base_vars:
             for stage in range(self.n + 2):
-                yield self.id_of(base, stage, True)
-                yield self.id_of(base, stage, False)
+                yield ident, base, stage
+                ident += 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReifiedIndex):
@@ -136,22 +144,30 @@ class ReifiedIndex:
 
 
 class ReifiedFormula:
-    """Mirror formula plus its index, emission ledger and injected variables.
+    """Mirror index, emission ledger and injected variables; the formula on demand.
 
     ``emissions`` records every clause in definition order together with its
-    role; the formula itself deduplicates, so the ledger is the authority for
-    the counting properties.
+    role; the formula deduplicates, so the ledger is the authority for the
+    counting properties.  Given source ``names``, the formula labels every id.
     """
 
-    __slots__ = ("formula", "index", "emissions", "injected")
+    __slots__ = ("index", "emissions", "injected", "_names", "_formula")
 
-    def __init__(self, formula: CnfFormula, index: ReifiedIndex,
-                 emissions: Iterable[tuple[ClauseRole, frozenset]],
-                 injected: Iterable[int] = ()):
-        self.formula = formula
+    def __init__(self, index: ReifiedIndex, emissions: Iterable[tuple[ClauseRole, frozenset]],
+                 injected: Iterable[int] = (), names: Mapping[int, str] | None = None):
         self.index = index
         self.emissions = tuple((role, frozenset(clause)) for role, clause in emissions)
         self.injected = frozenset(injected)
+        self._names = None if names is None else dict(names)
+        self._formula: CnfFormula | None = None
+
+    @property
+    def formula(self) -> CnfFormula:
+        """The emitted clauses as a formula, built on first read and then kept."""
+        if self._formula is None:
+            names = None if self._names is None else _mirror_names(self._names, self.index)
+            self._formula = CnfFormula((clause for _, clause in self.emissions), names=names)
+        return self._formula
 
     @property
     def n(self) -> int:
@@ -167,20 +183,21 @@ class ReifiedFormula:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReifiedFormula):
             return NotImplemented
-        return (self.formula == other.formula and self.index == other.index
-                and self.emissions == other.emissions and self.injected == other.injected)
+        # the formula is a function of the emissions
+        return (self.index == other.index and self.emissions == other.emissions
+                and self.injected == other.injected)
 
     def __repr__(self) -> str:
         return (f"ReifiedFormula({self.n} source vars, {len(self.emissions)} emissions, "
                 f"{len(self.injected)} injected)")
 
 
-def _mirror_names(formula: CnfFormula, index: ReifiedIndex) -> dict[int, str]:
-    names = dict(formula.names)
-    for ident in index.ids():
-        rv = index.describe(ident)
-        names[ident] = rv.label(formula.names.get(rv.base))
-    return names
+def _mirror_names(names: Mapping[int, str], index: ReifiedIndex) -> dict[int, str]:
+    labels = dict(names)
+    for ident, v, stage in index.layout():
+        name = names.get(v) or v
+        labels[ident], labels[ident + 1] = f"{name}_{stage}+", f"{name}_{stage}-"
+    return labels
 
 
 def reify(formula: CnfFormula) -> ReifiedFormula:
@@ -248,8 +265,7 @@ def _mirror(formula: CnfFormula, inject: frozenset[int]) -> ReifiedFormula:
         emissions.append((ClauseRole("inject"), frozenset((-v, at[v] + 2))))
         emissions.append((ClauseRole("inject"), frozenset((v, at[-v] + 2))))
 
-    mirror = CnfFormula((clause for _, clause in emissions), names=_mirror_names(formula, index))
-    return ReifiedFormula(mirror, index, emissions, injected=inject)
+    return ReifiedFormula(index, emissions, injected=inject, names=formula.names)
 
 
 def clash_clauses(mirror: ReifiedFormula, head: Lit) -> tuple[frozenset, ...]:
@@ -276,25 +292,23 @@ def failed_literal_formula(formula: CnfFormula, lit: Lit) -> tuple[CnfFormula, L
     if abs(lit) not in formula.variables:
         raise ValueError(f"literal {lit} is not over the formula's variables")
     mirror = reify(restrict(formula, [lit]))
-    clauses = mirror.formula.clauses + clash_clauses(mirror, -lit)
-    return CnfFormula(clauses, names=mirror.formula.names), -lit
+    return mirror.formula._merged(clash_clauses(mirror, -lit)), -lit
 
 
 # --- serialization ------------------------------------------------------------
 
 def format_reified(reified: ReifiedFormula) -> str:
     """Role-tagged DIMACS: one ``c role`` line ahead of each emitted clause."""
-    lines = []
-    for ident in sorted(reified.index.ids()):
-        rv = reified.index.describe(ident)
-        sign = "+" if rv.positive else "-"
-        lines.append(f"c rv {ident} {rv.base} {rv.stage} {sign}")
-    all_ids = [abs(l) for _, clause in reified.emissions for l in clause]
-    max_var = max(all_ids + [reified.index.offset + len(reified.index)], default=0)
-    lines.append(f"p cnf {max_var} {len(reified.emissions)}")
-    for role, clause in reified.emissions:
-        lines.append(f"c role {role.text()}")
-        lines.append(" ".join(str(l) for l in sorted(clause, key=lit_key)) + " 0")
+    index, emissions = reified.index, reified.emissions
+    lines = [f"c rv {ident + minus} {v} {stage} {'-' if minus else '+'}"
+             for ident, v, stage in index.layout() for minus in (0, 1)]
+    lits = chain.from_iterable(clause for _, clause in emissions)
+    lines.append(f"p cnf {max(chain([index.offset + len(index)], map(abs, lits)))} {len(emissions)}")
+    previous = None
+    for role, clause in emissions:
+        if role != previous:
+            previous, role_line = role, f"c role {role.text()}"
+        lines += (role_line, dimacs_clause(clause))
     return "\n".join(lines) + "\n"
 
 
@@ -338,5 +352,4 @@ def parse_reified(text: str) -> ReifiedFormula:
     for role, clause in emissions:
         if role.kind == "inject":
             injected.update(abs(l) for l in clause if index.describe(abs(l)) is None)
-    formula = CnfFormula((clause for _, clause in emissions))
-    return ReifiedFormula(formula, index, emissions, injected=injected)
+    return ReifiedFormula(index, emissions, injected=injected)

@@ -202,6 +202,24 @@ def test_check_monotone_rejects_short_csv_row(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_check_monotone_keeps_a_named_column_apart_from_a_numeric_one(tmp_path, capsys):
+    # no exactly where variable 2 is true; c would collide with 2 if given id 2
+    rows = {a.literals: Matching.NO if 2 in a.literals else Matching.YES
+            for a in iter_assignments((2, 3))}
+    path = tmp_path / "t.csv"
+    path.write_text(FunctionTable((2, 3), rows, names={3: "c"}).format_csv())
+    assert main(["check-monotone", str(path)]) == 1
+    assert capsys.readouterr().out == "monotonicity-violation I={} J={2} outcomes=yes/no\n"
+
+
+def test_check_monotone_rejects_a_repeated_row(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text("assignment,bits,outcome\nv=x,00,no\nv=1,10,yes\nv=0,01,no\nv=1,10,no\n")
+    assert main(["check-monotone", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: repeated table row: 'v=1'\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_verify_count_below_one_is_usage_error(count, capsys):
     assert main(["verify", "th1-equiv", "--seed", "1", "--count", count]) == 2

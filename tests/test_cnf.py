@@ -11,6 +11,7 @@ from unitprop.cnf import (
     PropagationResult,
     assignment_literals,
     clause_of,
+    dimacs_clause,
     format_dimacs,
     indicator_lanes,
     iter_assignments,
@@ -428,6 +429,35 @@ def test_membership():
     f = F([1, -2], [3])
     for probe in ([1, "a"], ["a"], [[1]], 5, None, [0], [1.5]):
         assert probe not in f
+
+
+def test_merged_equals_the_full_constructor():
+    rng = random.Random(41)
+    for i in range(150):
+        base = random_cnf(rng.randint(0, 8), rng.randint(0, 20), rng.randint(1, 4), seed=i, horn=i % 2 == 1)
+        base = CnfFormula(base.clauses, names={v: f"n{v}" for v in base.variables if v % 3 == 0})
+        top = max(base.variables, default=0)
+        extra = [frozenset(c) for c in rng.sample(base.clauses, min(2, len(base)))]  # duplicates
+        extra += [frozenset(), frozenset((top + 1,)), frozenset((-(top + 2),)), frozenset((top + 3, -(top + 3)))]
+        extra += [frozenset((rng.choice((1, -1)) * rng.randint(1, top + 4),)) for _ in range(2)]
+        extra += [frozenset(rng.choice((1, -1)) * rng.randint(1, top + 4) for _ in range(rng.randint(1, 4)))]
+        rng.shuffle(extra)
+        extra += extra[:2]  # an added clause twice
+        merged = base._merged(extra)
+        full = CnfFormula(base.clauses + tuple(extra), names=base.names)
+        assert merged.clauses == full.clauses
+        assert merged.variables == full.variables
+        assert merged.names == full.names and merged.names is not base.names
+        assert format_dimacs(merged) == format_dimacs(full)
+    assert F([1])._merged(()) == F([1])
+
+
+def test_dimacs_clause_is_the_lit_key_order():
+    rng = random.Random(43)
+    for _ in range(300):
+        clause = frozenset(rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 6)))
+        lits = sorted(clause, key=lit_key)
+        assert dimacs_clause(clause) == " ".join(map(str, lits + [0]))
 
 
 # --- assignment enumeration ---------------------------------------------------

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from unitprop.cnf import CnfFormula, PartialAssignment, iter_assignments
+from unitprop.cnf import CnfFormula, PartialAssignment, format_dimacs, iter_assignments
 from unitprop.propagator import (
     Filtering,
     FunctionTable,
@@ -339,6 +340,33 @@ def test_table_csv_reads_any_line_ending():
         FunctionTable.parse_csv(text.replace(",na\n", ",na\rx\n", 1))
 
 
+def test_table_csv_named_column_skips_a_numeric_id():
+    # column c would take id 2, which the numeric column 2 already has
+    prop = Propagator(F([-2, 4], [-3, 4], names={3: "c", 4: "s"}), frozenset({2, 3}), 4)
+    table = tabulate(prop)
+    parsed = FunctionTable.parse_csv(table.format_csv())
+    assert parsed.variables == (2, 3) and len(parsed) == 9
+    assert parsed == table
+    # without a collision the ids stay as they were: names count from 1
+    later = FunctionTable.parse_csv('assignment,bits,outcome\n"a=x,b=x,7=x",000000,no\n')
+    assert later.variables == (1, 2, 7)
+    first = FunctionTable.parse_csv('assignment,bits,outcome\n"1=x,a=x,b=x",000000,no\n')
+    assert first.variables == (1, 2, 3) and first.names == {2: "a", 3: "b"}
+    # 2 and 3 are both taken by numeric columns
+    skipped = FunctionTable.parse_csv('assignment,bits,outcome\n"2=x,a=x,3=x",000000,no\n')
+    assert skipped.variables == (2, 4, 3) and skipped.names == {4: "a"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"a=x,a=x",00,no\n', "repeated table column: 'a'"),
+    ('"1=x,01=x",0000,no\n', "repeated table column: '01'"),
+    ('v=1,10,no\nv=x,00,no\nv=1,10,yes\n', "repeated table row: 'v=1'"),
+])
+def test_table_csv_rejects_contradictions(text, message):
+    with pytest.raises(ValueError, match=message):
+        FunctionTable.parse_csv("assignment,bits,outcome\n" + text)
+
+
 def test_table_csv_golden_first_lines():
     # the assignment field contains commas, so it is CSV-quoted
     text = tabulate(OR_READER).format_csv()
@@ -411,3 +439,28 @@ def test_tabulate_refuses_more_than_twelve_inputs():
     wide = Propagator(F(*([-v, 14] for v in range(1, 14))), frozenset(range(1, 14)), 14)
     with pytest.raises(ValueError, match="refusing to enumerate"):
         tabulate(wide)
+
+
+# sha256 of the converted propagators on the corpus below, computed before
+# the conversions merged their added clauses into canonical order
+CONVERSION_DIGEST = "0caf604c37bb6711d4b99fa6f1384dc0b7fe767804ea09493628b7d5ba8c5763"
+
+
+def test_conversion_output_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        prop = random_propagator(40_000 + seed, max_vars=4, horn=seed % 2 == 1)
+        readers = filtering_to_matchings(prop)
+        nu = propagator_to_nu(prop)
+        mirrored = reify_propagator(prop)
+        parts = [format_propagator(p) for p in readers]
+        parts += [format_dimacs(nu.formula), format_propagator(nu_to_propagator(nu)),
+                  format_dimacs(mirrored.formula),
+                  repr((mirrored.out_true, mirrored.out_false, mirrored.out_fail))]
+        if seed < 4:
+            # mirrors a mirror: the costliest conversion, on a few seeds only
+            parts.append(format_propagator(matchings_to_filtering(*readers)))
+        for part in parts:
+            digest.update(part.encode())
+            digest.update(b"\0")
+    assert digest.hexdigest() == CONVERSION_DIGEST

@@ -1,10 +1,13 @@
+import hashlib
+import importlib
 import random
 
 import pytest
 
-from unitprop.cnf import CnfFormula, propagate_staged, restrict
+from unitprop.cnf import CnfFormula, format_dimacs, propagate_staged, restrict
 from unitprop.reify import (
     ClauseRole,
+    ReifiedFormula,
     ReifiedIndex,
     ReifiedVariable,
     failed_literal_formula,
@@ -13,6 +16,9 @@ from unitprop.reify import (
     reify,
     reify_injected,
 )
+from unitprop.cli import main
+from unitprop.propagator import Propagator
+from unitprop.translate import extract_circuit
 from unitprop.verify import random_cnf
 
 
@@ -355,3 +361,81 @@ def test_reify_is_reify_injected_with_nothing_injected():
         formula = random_cnf(rng.randint(0, 5), rng.randint(0, 10), rng.randint(1, 3), seed=seed)
         assert format_reified(reify(formula)) == format_reified(reify_injected(formula, ()))
         assert reify(formula) == reify_injected(formula, ())
+
+
+# --- the mirror formula, built on first read -------------------------------------
+
+def _eager_formula(mirror, source_names):
+    """The mirror formula as built before it became lazy: labels by describe."""
+    if source_names is None:
+        return CnfFormula(clause for _, clause in mirror.emissions)
+    names = dict(source_names)
+    for ident in mirror.index.ids():
+        rv = mirror.index.describe(ident)
+        names[ident] = rv.label(source_names.get(rv.base))
+    return CnfFormula((clause for _, clause in mirror.emissions), names=names)
+
+
+def test_lazy_formula_equals_the_eager_build():
+    rng = random.Random(51)
+    for seed in range(60):
+        f = random_cnf(rng.randint(0, 6), rng.randint(0, 12), rng.randint(1, 3), seed=seed,
+                       horn=seed % 2 == 1)
+        if seed % 3:
+            # an empty name labels by id, as an absent one does
+            f = CnfFormula(f.clauses, names={v: f"x{v}" if v % 2 else "" for v in f.variables})
+        mirror = reify_injected(f, [v for v in sorted(f.variables) if rng.random() < 0.5])
+        parsed = parse_reified(format_reified(mirror))
+        for rf, source_names in ((mirror, f.names), (parsed, None)):
+            eager = _eager_formula(rf, source_names)
+            assert rf.formula.clauses == eager.clauses
+            assert rf.formula.names == eager.names
+            assert format_dimacs(rf.formula) == format_dimacs(eager)
+            assert rf.formula is rf.formula  # built once
+        assert parsed == mirror and parsed.formula.names == {}
+    # equality reads the ledger, the index and the injected variables, not names
+    rf = reify_injected(F([1, -2], [2, 3]), [1])
+    assert ReifiedFormula(rf.index, rf.emissions, rf.injected) == rf
+    assert ReifiedFormula(rf.index, rf.emissions, ()) != rf
+
+
+def test_serializing_and_extracting_never_build_the_mirror_formula(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("mirror formula built")
+
+    # the package's reify function shadows the module of that name
+    monkeypatch.setattr(importlib.import_module("unitprop.reify"), "_mirror_names", refuse)
+    f = CnfFormula([[1], [-1, 2], [-2, -3, 4]], names={1: "a", 4: "s"})
+    format_reified(reify_injected(f, [3]))
+    extract_circuit(Propagator(f, frozenset({3}), 4))
+    path = tmp_path / "f.cnf"
+    path.write_text(format_dimacs(f))
+    assert main(["reify", str(path), "--inject", "3", "-o", str(tmp_path / "m.cnf")]) == 0
+    with pytest.raises(AssertionError, match="mirror formula built"):
+        reify(f).formula
+
+
+# sha256 of the mirror, probe and restriction texts on the corpus below,
+# computed before the mirror formula became lazy and restrict a merge
+MIRROR_TEXT_DIGEST = "665e6861b71994def9abf86b29e70a30435d3c6e722998474fff04dcaf93a32a"
+
+
+def test_mirror_text_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(80):
+        rng = random.Random(30_000 + seed)
+        f = random_cnf(rng.randint(1, 6), rng.randint(1, 12), 3, seed=seed, horn=seed % 2 == 1)
+        if seed % 3 == 0:
+            f = CnfFormula(f.clauses, names={v: f"x{v}" for v in f.variables if v % 2})
+        ordered = sorted(f.variables)
+        mirror = reify_injected(f, [v for v in ordered if rng.random() < 0.5])
+        text = format_reified(mirror)
+        lit = rng.choice(ordered) * rng.choice((1, -1))
+        probe, target = failed_literal_formula(f, lit)
+        # the restriction may mention variables outside the formula
+        extra = [v * rng.choice((1, -1)) for v in rng.sample(ordered + [7, 8], 3)]
+        for part in (text, format_dimacs(mirror.formula), format_dimacs(parse_reified(text).formula),
+                     format_dimacs(probe), str(target), format_dimacs(restrict(f, extra))):
+            digest.update(part.encode())
+            digest.update(b"\0")
+    assert digest.hexdigest() == MIRROR_TEXT_DIGEST
