@@ -97,9 +97,6 @@ class Circuit:
             raise ValueError(f"cycle through gates: {stuck}")
         return tuple(order)
 
-    def labels(self) -> set[str]:
-        return set(self.inputs) | {g.output for g in self.gates}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented

@@ -4,14 +4,14 @@ Literals are nonzero ints: ``v`` for a variable, ``-v`` for its negation.
 Clauses are frozensets of literals, formulas are immutable sets of clauses
 over the variable universe induced by their clauses.
 
-Two unit-resolution procedures are provided.  ``propagate_standard`` is the
-classic destructive loop (pick a unit clause, simplify, repeat); it always
-selects the smallest pending unit literal in ``lit_key`` order, and runs
-occurrence-indexed, in O(|F| log n) for |F| literal occurrences over n
-variables.  ``propagate_staged`` derives the same outcome in synchronous
-rounds and records which literals were first produced at which round, which
-is what the stage-indexed constructions in :mod:`unitprop.reify` are built
-on.
+``propagate_standard`` is the classic destructive loop (pick a unit clause,
+simplify, repeat); it always selects the smallest pending unit literal in
+``lit_key`` order, and runs occurrence-indexed, in O(|F| log n) for |F|
+literal occurrences over n variables.  Every other run goes through one
+round loop on lanes, one bit per assignment.  Its one-lane case,
+``propagate_staged``, records which literals were first produced at which
+synchronous round, which is what the stage-indexed constructions in
+:mod:`unitprop.reify` are built on; ``propagate_lanes`` is its all-lanes case.
 """
 
 from __future__ import annotations
@@ -404,48 +404,72 @@ def propagation_stage(formula: CnfFormula, assigned: Iterable[Lit]) -> frozenset
     return frozenset(out)
 
 
-def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> PropagationResult:
-    """Stage-synchronous unit resolution over exactly n+1 rounds.
+def _propagate(clauses: tuple[Clause, ...], masks: dict[Lit, int], full: int,
+               rounds: int | None = None, early_exit: bool = False) -> list[frozenset[Lit]]:
+    """Synchronous unit-resolution rounds on lanes: the one propagation core.
 
-    n is the number of variables.  Unlike the destructive procedure this one
-    keeps going past a complementary pair; failure is decided at the end by
-    scanning the accumulated set.  With ``early_exit`` the round loop stops
-    at a fixpoint or as soon as a complementary pair appears; the outcome is
-    unchanged, only trailing rounds are omitted from the trace.
-
-    The rounds are computed with per-clause counters instead of rescanning
-    the whole formula, which produces the exact same stage sets as iterating
-    :func:`propagation_stage` (checked differentially in the test suite).
+    ``masks`` maps a literal to the lanes of ``full`` it is set on (bit ``i``
+    is lane ``i``), seeded or empty, and grows in place.  A clause fires
+    ``w`` on the lanes where its other literals are all falsified and ``w``
+    is unset; it waits until all but one are falsified on some lane, and only
+    clauses of a grown literal's negation are revisited.  Returns the
+    literals grown per round until a round grows nothing, ``rounds`` rounds
+    ran or, with ``early_exit``, a literal and its negation meet on a lane.
     """
-    clauses = formula.clauses
-    rounds = len(formula.variables) + 1
     occurrences = _occurrences(clauses)
-    falsified = [0] * len(clauses)  # literals of the clause whose negation is assigned
-    assigned: set[Lit] = set()
-    hot = set(range(len(clauses)))
+    falsified = [0] * len(clauses)  # literals of the clause whose negation is set on some lane
+    for lit in masks:
+        for idx in occurrences.get(-lit, ()):
+            falsified[idx] += 1
+    hot: Iterable[int] = range(len(clauses))
     stages: list[frozenset[Lit]] = []
-    for _ in range(rounds):
-        fired: set[Lit] = set()
+    while rounds is None or len(stages) < rounds:
+        grown: dict[Lit, int] = {}
         for idx in hot:
             clause = clauses[idx]
             count = falsified[idx]
-            if count >= len(clause) - 1:
-                for w in clause:
-                    if w not in assigned and (count == len(clause) or -w not in assigned):
-                        fired.add(w)
-        stage = frozenset(fired)
-        stages.append(stage)
+            if count < len(clause) - 1:
+                continue
+            for w in clause:
+                if count < len(clause) and -w in masks:
+                    continue  # the literal falsified nowhere is another one
+                lanes = full & ~masks.get(w, 0)
+                for t in clause:
+                    if t != w:
+                        lanes &= masks[-t]
+                if lanes:
+                    grown[w] = grown.get(w, 0) | lanes
+        stages.append(frozenset(grown))
+        if not grown:
+            break
         hot = set()
-        for w in stage:
-            assigned.add(w)
-            for idx in occurrences.get(-w, ()):
-                falsified[idx] += 1
-                hot.add(idx)
-        if early_exit:
-            if not stage or any(-w in assigned for w in stage):
-                break
-    bottom = any(-l in assigned for l in assigned)
-    return PropagationResult(stages, is_bottom=bottom)
+        for w, lanes in grown.items():
+            touched = occurrences.get(-w, ())
+            if w not in masks:
+                for idx in touched:
+                    falsified[idx] += 1
+            masks[w] = masks.get(w, 0) | lanes
+            hot.update(touched)
+        if early_exit and any(masks[w] & masks.get(-w, 0) for w in grown):
+            break
+    return stages
+
+
+def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> PropagationResult:
+    """Stage-synchronous unit resolution over exactly n+1 rounds.
+
+    The round loop on one lane, from nothing; n is the number of variables.
+    It keeps going past a complementary pair and fails when one is set at
+    the end.  With ``early_exit`` it stops at a fixpoint or the first pair:
+    same outcome, without the trailing rounds.  Each stage is what iterating
+    :func:`propagation_stage` yields there.
+    """
+    rounds = len(formula.variables) + 1
+    masks: dict[Lit, int] = {}
+    stages = _propagate(formula.clauses, masks, 1, rounds, early_exit)
+    if not early_exit:
+        stages += [frozenset()] * (rounds - len(stages))  # rounds past the fixpoint
+    return PropagationResult(stages, is_bottom=any(-lit in masks for lit in masks))
 
 
 # --- all assignments at once ------------------------------------------------
@@ -493,45 +517,20 @@ def indicator_lanes(order: tuple[int, ...]) -> dict[Lit, int]:
 def propagate_lanes(formula: CnfFormula, variables: Iterable[int]) -> Lanes:
     """Unit propagation of ``formula`` under all 3^k assignments of ``variables``.
 
-    Lane by lane the same as ``propagate_staged(restrict(formula, a))`` for
-    the lane's assignment ``a``: the lane fails exactly when that run does,
-    and otherwise derives exactly the literals it produces.  The
-    assignment's literals seed the masks, where ``restrict``'s unit clauses
-    would fire; a clause fires ``w`` on the lanes where every other literal
-    of it is falsified; after a change only the clauses holding the
-    negation of a grown literal are revisited.  Running to the fixpoint
-    instead of n+1 rounds keeps the failing lanes: until a lane clashes,
-    each productive round fixes a new variable, so a clash shows within
-    n+1 rounds.  The empty clause fires nothing, as in the staged engine.
-    Variables outside the formula still take part.  More than
-    ``ENUMERATION_LIMIT`` variables are refused before any mask is built.
+    The round loop on 3^k lanes, seeded with each lane's assignment and run
+    to the fixpoint.  Lane by lane the same as ``propagate_staged(restrict(
+    formula, a))`` for its assignment ``a``, variables outside the formula
+    included: the lane fails exactly when that run does, and otherwise
+    derives exactly what it produces.  Until a lane clashes, each productive
+    round fixes a new variable, so the fixpoint keeps the failing lanes of
+    n+1 rounds.  Over ``ENUMERATION_LIMIT`` variables are refused first.
     """
     order = enumeration_order(variables)
     masks = indicator_lanes(order)
-    full = (1 << 3 ** len(order)) - 1
-    clauses = formula.clauses
-    occurrences = _occurrences(clauses)
-    hot = set(range(len(clauses)))
-    while hot:
-        grown: set[Lit] = set()
-        for idx in hot:
-            clause = clauses[idx]
-            for w in clause:
-                lanes = full
-                for t in clause:
-                    if t != w:
-                        lanes &= masks.get(-t, 0)
-                        if not lanes:
-                            break
-                have = masks.get(w, 0)
-                if lanes & ~have:
-                    masks[w] = have | lanes
-                    grown.add(w)
-        hot = {idx for w in grown for idx in occurrences.get(-w, ())}
+    _propagate(formula.clauses, masks, (1 << 3 ** len(order)) - 1)
     fail = 0
     for lit, mask in masks.items():
-        if lit > 0:
-            fail |= mask & masks.get(-lit, 0)
+        fail |= mask & masks.get(-lit, 0)
     return Lanes(order, masks, fail)
 
 

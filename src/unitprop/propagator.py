@@ -234,7 +234,7 @@ def filtering_to_matchings(prop: Propagator) -> tuple[Propagator, Propagator, Pr
 
 
 def _rename_apart(formula: CnfFormula, keep: frozenset[int], next_id: int):
-    """Rename every variable outside ``keep`` to ids from ``next_id`` up."""
+    """Rename every variable outside ``keep`` to ids from ``next_id`` up; clauses come unsorted."""
     mapping: dict[int, int] = {}
     for v in sorted(formula.variables - keep):
         mapping[v] = next_id
@@ -247,7 +247,7 @@ def _rename_apart(formula: CnfFormula, keep: frozenset[int], next_id: int):
     clauses = [frozenset(ren(l) for l in c) for c in formula.clauses]
     names = {mapping.get(v, v): name for v, name in formula.names.items()
              if v in mapping or v in keep}
-    return CnfFormula(clauses, names=names), mapping, next_id
+    return clauses, names, mapping, next_id
 
 
 def matchings_to_filtering(true_p: Propagator, false_p: Propagator,
@@ -264,24 +264,19 @@ def matchings_to_filtering(true_p: Propagator, false_p: Propagator,
         raise ValueError("the three propagators must share the same input set")
     shared = true_p.inputs
     next_id = max(shared, default=0) + 1
-    parts = []
+    clauses: list[frozenset[Lit]] = []
+    names: dict[int, str] = {}
     outs = []
     for part in (true_p, false_p, fail_p):
         mirrored = reify_propagator(part)
-        renamed, mapping, next_id = _rename_apart(mirrored.formula, shared, next_id)
-        parts.append(renamed)
+        renamed, renamed_names, mapping, next_id = _rename_apart(mirrored.formula, shared, next_id)
+        clauses.extend(renamed)
+        names.update(renamed_names)
         # each reader reports "my function says yes" by producing its own
         # output variable, so every link reads the mirror's true-signal
         outs.append(mapping[mirrored.out_true])
     out = next_id
-    clauses = []
-    names: dict[int, str] = {}
-    for renamed in parts:
-        clauses.extend(renamed.clauses)
-        names.update(renamed.names)
-    clauses.append(frozenset((-outs[0], out)))
-    clauses.append(frozenset((-outs[1], -out)))
-    clauses.append(frozenset((-outs[2],)))
+    clauses += [frozenset((-outs[0], out)), frozenset((-outs[1], -out)), frozenset((-outs[2],))]
     return Propagator(CnfFormula(clauses, names=names), shared, out)
 
 
@@ -382,13 +377,22 @@ class FunctionTable:
     def format_csv(self) -> str:
         import csv
 
+        # a label the assignment cell cannot carry back (empty, holding a
+        # separator, another variable's id, or repeated): ids for every column
+        names = self.names
+        labels = [names.get(v, str(v)) for v in self.variables]
+        if len(set(labels)) != len(labels) or not all(
+                label and "," not in label and "=" not in label
+                and (label == str(v) or not label.isdigit())
+                for v, label in zip(self.variables, labels)):
+            names = {}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["assignment", "bits", "outcome"])
         for key, value in self.rows.items():
             bits = boolean_representation(key, self.variables)
             writer.writerow([
-                format_assignment(key, self.variables, self.names),
+                format_assignment(key, self.variables, names),
                 "".join(str(b) for b in bits),
                 str(value),
             ])

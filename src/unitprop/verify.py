@@ -228,8 +228,7 @@ def random_failure_free_propagator(seed: int, **kwargs) -> tuple[Propagator, int
     skipped = 0
     while True:
         candidate = random_propagator(rng.getrandbits(32), **kwargs)
-        table = tabulate(candidate)
-        if all(v is not Filtering.FAIL for _, v in table.items()):
+        if not propagate_lanes(candidate.formula, candidate.inputs).fail:
             return candidate, skipped
         skipped += 1
         if skipped > 5000:

@@ -62,6 +62,24 @@ def test_propagate_trace(chain_cnf, capsys):
     assert out[-1] == "b a"
 
 
+
+@pytest.mark.parametrize("clauses, names, expected", [
+    ([[1, -2], [2], [-1, 3, -4]], {1: "a", 2: "b", 3: "c", 4: "d"},
+     "U1: b\nU2: a\nU3:\nU4:\nU5:\nb a\n"),
+    ([[1], [-1, 2], [-2, -1, 3], [-3, -2]], None,
+     "U1: 1\nU2: 2\nU3: 3 -3\nU4: -1 -2\nUNSAT(UP)\n"),
+    ([[1, 2], [-1, 3]], None, "U1:\nU2:\nU3:\nU4:\n\n"),
+    ([[1], [-1], [-1, 2, -3], [-1, -2, -4], [2], [-2], [-2, 3, -4], [-2, -6], [3, -6],
+      [4], [-4, -5]], None,
+     "U1: 1 -1 2 -2 4\nU2: 3 -3 -4 -5 -6\nU3:\nU4:\nU5:\nU6:\nU7:\nUNSAT(UP)\n"),
+])
+def test_propagate_trace_output_is_pinned(tmp_path, capsys, clauses, names, expected):
+    # every round up to n+1, past the fixpoint and past a clash
+    path = tmp_path / "f.cnf"
+    path.write_text(format_dimacs(CnfFormula(clauses, names=names)))
+    assert main(["propagate", str(path), "--trace"]) == 0
+    assert capsys.readouterr().out == expected
+
 def test_propagate_unsat(tmp_path, capsys):
     path = tmp_path / "bad.cnf"
     path.write_text(format_dimacs(CnfFormula([[1], [-1]])))
@@ -211,6 +229,17 @@ def test_check_monotone_keeps_a_named_column_apart_from_a_numeric_one(tmp_path, 
     assert main(["check-monotone", str(path)]) == 1
     assert capsys.readouterr().out == "monotonicity-violation I={} J={2} outcomes=yes/no\n"
 
+
+
+def test_tabulate_then_check_monotone_with_names_a_cell_cannot_carry(tmp_path, capsys):
+    path = tmp_path / "p.prop"
+    path.write_text("c var 1 a,b\nc var 2 c=d\nc inputs 1 2\nc output 3\n"
+                    "p cnf 3 2\n-1 3 0\n-2 3 0\n")
+    table = tmp_path / "t.csv"
+    assert main(["tabulate", str(path), "-o", str(table)]) == 0
+    assert table.read_text().splitlines()[1] == '"1=x,2=x",0000,na'
+    assert main(["check-monotone", str(table)]) == 0
+    assert capsys.readouterr().out == "PASS monotone\n"
 
 def test_check_monotone_rejects_a_repeated_row(tmp_path, capsys):
     path = tmp_path / "twice.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import time
@@ -280,6 +281,31 @@ def test_bottom_traces_contain_a_complementary_pair():
                 assert not any(-l in res.produced for l in res.produced)
 
 
+
+# --- the round loop, pinned ---------------------------------------------------
+
+def trace_corpus():
+    rng = random.Random(20261018)
+    for i in range(240):
+        yield random_cnf(rng.randint(0, 8), rng.randint(0, 30), rng.randint(1, 4),
+                         seed=rng.getrandbits(32), horn=i % 2 == 1)
+    for clauses in ([], [[]], [[], [1]], [[1, -1], [2]], [[1], [-1]], [[1, 2], [-1], [-2]]):
+        yield CnfFormula(clauses)
+
+
+def test_staged_traces_are_pinned():
+    # stages and is_bottom of both modes, as the engine wrote them before it
+    # became the one-lane case of the round loop
+    digest = hashlib.sha256()
+    bottoms = 0
+    for f in trace_corpus():
+        for early_exit in (False, True):
+            res = propagate_staged(f, early_exit=early_exit)
+            bottoms += res.is_bottom
+            digest.update(repr((res.is_bottom, [sorted(s) for s in res.stages])).encode() + b"\n")
+    assert bottoms == 308  # failing formulas are in the corpus
+    assert digest.hexdigest() == "2d3fe459da29eac9de5edabe888ff03c4853b35f8cacad5f7562de29eb2ad6ae"
+
 # --- the standard engine against the set-based loop ----------------------------
 
 def _destructive_reference(formula):
@@ -528,6 +554,26 @@ def test_propagate_lanes_matches_staged_engine_on_random_formulas():
         variables = rng.sample(pool, rng.randint(0, min(4, len(pool))))
         same_rows(lane_rows(formula, variables), staged_rows(formula, variables))
 
+
+
+def test_propagate_lanes_matches_standard_engine_lane_by_lane():
+    # propagate_standard shares no code with the round loop; without the
+    # empty clause (where the two differ by design) every lane agrees
+    rng = random.Random(20261019)
+    failing = outside = 0
+    for i in range(120):
+        formula = random_cnf(rng.randint(0, 6), rng.randint(0, 14), rng.randint(1, 4),
+                             seed=rng.getrandbits(32), horn=i % 2 == 1)
+        pool = sorted(formula.variables | {7, 8})  # 7, 8 lie outside every formula here
+        variables = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        standard = []
+        for assignment in iter_assignments(variables):
+            res = propagate_standard(restrict(formula, assignment))
+            standard.append((res.is_bottom, set(res.produced)))
+        same_rows(lane_rows(formula, variables), standard)
+        failing += sum(fails for fails, _ in standard)
+        outside += not formula.variables.issuperset(variables)
+    assert failing and outside
 
 @pytest.mark.parametrize("clauses, variables", [
     ([[]], [1]),                          # an empty clause fires nothing

@@ -357,6 +357,29 @@ def test_table_csv_named_column_skips_a_numeric_id():
     assert skipped.variables == (2, 4, 3) and skipped.names == {4: "a"}
 
 
+
+@pytest.mark.parametrize("inputs, names", [
+    ({1, 2}, {1: "a,b", 2: "c=d"}),   # separators of the assignment cell
+    ({1, 2}, {1: ""}),                # an empty label
+    ({1, 3}, {1: "3"}),               # another variable's id
+    ({1, 3}, {1: "2"}),               # an id that reads back as variable 2
+    ({1, 2}, {1: "01"}),              # digits that are not the variable's own id
+    ({1, 2}, {1: "a", 2: "a"}),       # a repeated label
+], ids=["separators", "empty", "other-id", "reads-as-other-id", "leading-zero", "repeated"])
+def test_table_csv_falls_back_to_ids_for_names_a_cell_cannot_carry(inputs, names):
+    a, b = sorted(inputs)
+    table = tabulate(Propagator(F([-a, 4], [-b, 4], names=names), frozenset(inputs), 4))
+    text = table.format_csv()
+    assert text.splitlines()[1] == f'"{a}=x,{b}=x",0000,na'
+    assert FunctionTable.parse_csv(text) == table
+
+
+def test_table_csv_keeps_names_it_can_carry():
+    names = {1: "1", 2: "c"}  # a variable's own id is a label it can carry
+    table = tabulate(Propagator(F([-1, 4], [-2, 4], names=names), frozenset({1, 2}), 4))
+    assert table.format_csv().splitlines()[1] == '"1=x,c=x",0000,na'
+    assert FunctionTable.parse_csv(table.format_csv()) == table
+
 @pytest.mark.parametrize("text, message", [
     ('"a=x,a=x",00,no\n', "repeated table column: 'a'"),
     ('"1=x,01=x",0000,no\n', "repeated table column: '01'"),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from unitprop.propagator import (
     Matching,
     Propagator,
     boolean_representation,
+    format_propagator,
     tabulate,
 )
 from unitprop.verify import (
@@ -20,6 +22,7 @@ from unitprop.verify import (
     check_monotone,
     enumerate_assignments,
     random_cnf,
+    random_failure_free_propagator,
     random_monotone_circuit,
     random_monotone_table,
     random_propagator,
@@ -319,3 +322,25 @@ def test_random_cnf_default_is_not_horn_pinned():
     assert set(random_cnf(4, 5, 3, seed=1).clauses) == {
         fs({1}), fs({-1, -2}), fs({-1, -4}), fs({4}), fs({4, -4})}
     assert random_cnf(4, 5, 3, seed=1) == random_cnf(4, 5, 3, seed=1, horn=False)
+
+
+@pytest.mark.parametrize("kwargs, skipped, digest", [
+    (dict(max_vars=5, max_clauses=10), [0, 6, 2, 0, 0, 0, 0, 1, 0, 2],
+     "04b42cdbecd24713b0ff3080c25c334c1cd875b6c2e77c308199be65688c8bf1"),
+    (dict(max_vars=4, max_clauses=12), [7, 5, 2, 0, 0, 0, 0, 18, 0, 0],
+     "026f69bee3ecd7dba97580ad0b9a3134cba9000fb31a799b041d62e94dea605c"),
+    (dict(max_vars=6, max_clauses=14, maxlen=2), [7, 7, 4, 7, 44, 5, 0, 1, 4, 1],
+     "52519d6ec9cff8504ab79cec4782ece6c2b310571f1e25839fa6db44d2d7b3eb"),
+], ids=["five-vars", "four-vars", "binary-clauses"])
+def test_random_failure_free_propagator_draws_are_pinned(kwargs, skipped, digest):
+    # the draws, the skip counts and the accepted propagators of seeds 0-9,
+    # as they were when acceptance read a whole function table
+    text = hashlib.sha256()
+    counts = []
+    for seed in range(10):
+        prop, count = random_failure_free_propagator(seed, **kwargs)
+        counts.append(count)
+        text.update(format_propagator(prop).encode())
+        assert all(value is not Filtering.FAIL for _, value in tabulate(prop).items())
+    assert counts == skipped
+    assert text.hexdigest() == digest
