@@ -8,10 +8,10 @@ over the variable universe induced by their clauses.
 simplify, repeat); it always selects the smallest pending unit literal in
 ``lit_key`` order, and runs occurrence-indexed, in O(|F| log n) for |F|
 literal occurrences over n variables.  Every other run goes through one
-round loop on lanes, one bit per assignment.  Its one-lane case,
-``propagate_staged``, records which literals were first produced at which
-synchronous round, which is what the stage-indexed constructions in
-:mod:`unitprop.reify` are built on; ``propagate_lanes`` is its all-lanes case.
+round loop on lanes (one bit per assignment, the assignment seeded as
+round-1 productions).  Its one-lane case, ``propagate_staged``, records the
+synchronous round each literal is first produced at, the base of the mirrors
+in :mod:`unitprop.reify`; ``propagate_lanes`` is its all-lanes case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import chain, product
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 Lit = int
@@ -284,10 +284,7 @@ class PropagationResult:
         stage_sets = tuple(frozenset(s) for s in stages)
         object.__setattr__(self, "stages", stage_sets)
         object.__setattr__(self, "is_bottom", bool(is_bottom))
-        out: set[Lit] = set()
-        for s in stage_sets:
-            out |= s
-        object.__setattr__(self, "produced", frozenset(out))
+        object.__setattr__(self, "produced", frozenset().union(*stage_sets))
 
     def __setattr__(self, name, value):
         raise AttributeError("PropagationResult is immutable")
@@ -314,10 +311,7 @@ class PropagationResult:
         idx = k - first
         if idx < 0:
             raise ValueError(f"stage {k} precedes first stage {first}")
-        out: set[Lit] = set()
-        for s in self.stages[: idx + 1]:
-            out |= s
-        return frozenset(out)
+        return frozenset().union(*self.stages[: idx + 1])
 
     def __repr__(self) -> str:
         tag = "bottom" if self.is_bottom else f"{len(self.produced)} literals"
@@ -404,27 +398,27 @@ def propagation_stage(formula: CnfFormula, assigned: Iterable[Lit]) -> frozenset
     return frozenset(out)
 
 
-def _propagate(clauses: tuple[Clause, ...], masks: dict[Lit, int], full: int,
-               rounds: int | None = None, early_exit: bool = False) -> list[frozenset[Lit]]:
+def _propagate(clauses: tuple[Clause, ...], seeds: Mapping[Lit, int], live: Sequence[int],
+               early_exit: bool = False) -> tuple[dict[Lit, int], list[frozenset[Lit]]]:
     """Synchronous unit-resolution rounds on lanes: the one propagation core.
 
-    ``masks`` maps a literal to the lanes of ``full`` it is set on (bit ``i``
-    is lane ``i``), seeded or empty, and grows in place.  A clause fires
+    Bit ``i`` of a lane mask is lane ``i``; round ``r`` runs on the lanes of
+    ``live[r - 1]``, which never gains one.  ``seeds`` maps a literal to the
+    lanes it is produced on at round 1, like a unit clause.  A clause fires
     ``w`` on the lanes where its other literals are all falsified and ``w``
-    is unset; it waits until all but one are falsified on some lane, and only
-    clauses of a grown literal's negation are revisited.  Returns the
-    literals grown per round until a round grows nothing, ``rounds`` rounds
-    ran or, with ``early_exit``, a literal and its negation meet on a lane.
+    is unset; it waits until all but one are falsified on some lane, and
+    only clauses of a grown literal's negation are revisited.  Returns the
+    lanes of each set literal and the literals grown per round, until a
+    round grows nothing, ``live`` runs out or, with ``early_exit``, a
+    literal and its negation meet on a lane.
     """
     occurrences = _occurrences(clauses)
     falsified = [0] * len(clauses)  # literals of the clause whose negation is set on some lane
-    for lit in masks:
-        for idx in occurrences.get(-lit, ()):
-            falsified[idx] += 1
+    masks: dict[Lit, int] = {}
     hot: Iterable[int] = range(len(clauses))
+    grown = dict(seeds)
     stages: list[frozenset[Lit]] = []
-    while rounds is None or len(stages) < rounds:
-        grown: dict[Lit, int] = {}
+    for full in live:
         for idx in hot:
             clause = clauses[idx]
             count = falsified[idx]
@@ -452,24 +446,32 @@ def _propagate(clauses: tuple[Clause, ...], masks: dict[Lit, int], full: int,
             hot.update(touched)
         if early_exit and any(masks[w] & masks.get(-w, 0) for w in grown):
             break
-    return stages
+        grown = {}
+    return masks, stages
+
+
+def _clashes(masks: Mapping[Lit, int]) -> int:
+    """The lanes on which some literal and its negation are both set."""
+    fail = 0
+    for lit, mask in masks.items():
+        fail |= mask & masks.get(-lit, 0)
+    return fail
 
 
 def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> PropagationResult:
     """Stage-synchronous unit resolution over exactly n+1 rounds.
 
-    The round loop on one lane, from nothing; n is the number of variables.
+    The round loop on one lane, unseeded; n is the number of variables.
     It keeps going past a complementary pair and fails when one is set at
     the end.  With ``early_exit`` it stops at a fixpoint or the first pair:
     same outcome, without the trailing rounds.  Each stage is what iterating
     :func:`propagation_stage` yields there.
     """
     rounds = len(formula.variables) + 1
-    masks: dict[Lit, int] = {}
-    stages = _propagate(formula.clauses, masks, 1, rounds, early_exit)
+    masks, stages = _propagate(formula.clauses, {}, [1] * rounds, early_exit)
     if not early_exit:
         stages += [frozenset()] * (rounds - len(stages))  # rounds past the fixpoint
-    return PropagationResult(stages, is_bottom=any(-lit in masks for lit in masks))
+    return PropagationResult(stages, is_bottom=bool(_clashes(masks)))
 
 
 # --- all assignments at once ------------------------------------------------
@@ -517,21 +519,22 @@ def indicator_lanes(order: tuple[int, ...]) -> dict[Lit, int]:
 def propagate_lanes(formula: CnfFormula, variables: Iterable[int]) -> Lanes:
     """Unit propagation of ``formula`` under all 3^k assignments of ``variables``.
 
-    The round loop on 3^k lanes, seeded with each lane's assignment and run
-    to the fixpoint.  Lane by lane the same as ``propagate_staged(restrict(
-    formula, a))`` for its assignment ``a``, variables outside the formula
-    included: the lane fails exactly when that run does, and otherwise
-    derives exactly what it produces.  Until a lane clashes, each productive
-    round fixes a new variable, so the fixpoint keeps the failing lanes of
-    n+1 rounds.  Over ``ENUMERATION_LIMIT`` variables are refused first.
+    The round loop on 3^k lanes, each lane's assignment ``a`` seeded at
+    round 1, for the n+1 rounds of ``propagate_staged(restrict(formula, a))``,
+    n = ``|formula.variables ∪ vars(a)|``.  Lane by lane the same as that
+    run, variables outside the formula and failing lanes included: the lane
+    fails exactly when that run does, and derives exactly what it produces.
+    Over ``ENUMERATION_LIMIT`` variables are refused first.
     """
     order = enumeration_order(variables)
-    masks = indicator_lanes(order)
-    _propagate(formula.clauses, masks, (1 << 3 ** len(order)) - 1)
-    fail = 0
-    for lit, mask in masks.items():
-        fail |= mask & masks.get(-lit, 0)
-    return Lanes(order, masks, fail)
+    seeds = indicator_lanes(order)
+    full = (1 << 3 ** len(order)) - 1
+    at_least = [full]  # at_least[j]: the lanes assigning j or more variables outside the formula
+    for var in set(order) - formula.variables:
+        assigned = seeds[var] | seeds[-var]
+        at_least = [full] + [more | (fewer & assigned) for fewer, more in zip(at_least, at_least[1:] + [0])]
+    masks, _ = _propagate(formula.clauses, seeds, [full] * len(formula.variables) + at_least)
+    return Lanes(order, masks, _clashes(masks))
 
 
 # --- DIMACS ----------------------------------------------------------------

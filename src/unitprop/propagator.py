@@ -21,15 +21,15 @@ from .cnf import (
     CnfFormula,
     Lit,
     PartialAssignment,
+    _clashes,
+    _propagate,
     as_literals,
     assignment_literals,
     format_dimacs,
     lit_key,
     parse_dimacs,
     propagate_lanes,
-    propagate_staged,
     resolve_variable,
-    restrict,
 )
 from .reify import ReifiedFormula, clash_clauses, reify_injected
 
@@ -127,36 +127,37 @@ def _check_input_scope(inputs: frozenset[int], assignment) -> frozenset[Lit]:
     return lits
 
 
-def _run(formula: CnfFormula, lits: frozenset[Lit]):
-    return propagate_staged(restrict(formula, lits), early_exit=True)
+def _run(formula: CnfFormula, lits: frozenset[Lit]) -> tuple[bool, dict[Lit, int]]:
+    """Failure and derived literals of ``propagate_staged(restrict(formula, lits), early_exit=True)``."""
+    rounds = len(formula.variables.union(map(abs, lits))) + 1
+    masks, _ = _propagate(formula.clauses, dict.fromkeys(lits, 1), [1] * rounds, early_exit=True)
+    return bool(_clashes(masks)), masks
 
 
 def eval_filtering(prop: Propagator, assignment) -> Filtering:
-    lits = _check_input_scope(prop.inputs, assignment)
-    res = _run(prop.formula, lits)
-    if res.is_bottom:
+    fails, derived = _run(prop.formula, _check_input_scope(prop.inputs, assignment))
+    if fails:
         return Filtering.FAIL
-    if prop.output in res.produced:
+    if prop.output in derived:
         return Filtering.TRUE
-    if -prop.output in res.produced:
+    if -prop.output in derived:
         return Filtering.FALSE
     return Filtering.NA
 
 
 def eval_matching(prop: Propagator, assignment) -> Matching:
     lits = _check_input_scope(prop.inputs, assignment)
-    res = _run(prop.formula, lits)
-    if res.is_bottom:
+    fails, derived = _run(prop.formula, lits)
+    if fails:
         raise MatchingProtocolError(
             f"propagation failed on input {sorted(lits, key=lit_key)}; "
             "no matching function is computed there")
-    return Matching.YES if prop.output in res.produced else Matching.NO
+    return Matching.YES if prop.output in derived else Matching.NO
 
 
 def eval_nu(nu: NuPropagator, assignment) -> Matching:
-    lits = _check_input_scope(nu.inputs, assignment)
-    res = _run(nu.formula, lits)
-    return Matching.YES if res.is_bottom else Matching.NO
+    fails, _ = _run(nu.formula, _check_input_scope(nu.inputs, assignment))
+    return Matching.YES if fails else Matching.NO
 
 
 # --- conversions ---------------------------------------------------------------
@@ -419,6 +420,8 @@ class FunctionTable:
             row_names = [name for name, _, _ in tokens]
             if variables is None:
                 numeric = {int(name) for name in row_names if name.isdigit()}
+                if 0 in numeric:
+                    raise ValueError("table column names variable 0")
                 for name in row_names:
                     var = int(name) if name.isdigit() else len(by_name) + 1
                     if not name.isdigit():

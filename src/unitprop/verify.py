@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .cnf import (
     CnfFormula,
     PartialAssignment,
+    assignment_literals,
+    enumeration_order,
     format_dimacs,
     indicator_lanes,
     iter_assignments,
@@ -28,12 +31,9 @@ from .propagator import (
     Filtering,
     FunctionTable,
     Matching,
-    MatchingProtocolError,
     NuPropagator,
     Propagator,
     boolean_representation,
-    eval_matching,
-    eval_nu,
     filtering_to_matchings,
     matchings_to_filtering,
     nu_to_propagator,
@@ -138,21 +138,26 @@ def check_equiv_propagator_circuit(prop: Propagator, circ: Circuit) -> Counterex
     indicator bits.
     """
     lanes = propagate_lanes(prop.formula, prop.inputs)
-    indicators = indicator_lanes(lanes.order)
-    masks = [indicators[v] for v in lanes.order] + [indicators[-v] for v in lanes.order]
-    circuit_out = evaluate_lanes(circ, masks, 3 ** len(lanes.order))
+    circuit_out = _circuit_lanes(circ, lanes.order)
     yes = lanes.masks.get(prop.output, 0)
     bad = lanes.fail | (yes ^ circuit_out)
     if not bad:
         return None
     lane = (bad & -bad).bit_length() - 1
-    lits = [lit for lit, mask in indicators.items() if mask >> lane & 1]
-    assignment = PartialAssignment(lits, universe=lanes.order)
+    assignment = PartialAssignment(next(islice(assignment_literals(lanes.order), lane, None)),
+                                   universe=lanes.order)
     bit = circuit_out >> lane & 1
     if lanes.fail >> lane & 1:
         return Counterexample(assignment, None, "protocol-violation", (Filtering.FAIL, bit))
     match = Matching.YES if yes >> lane & 1 else Matching.NO
     return Counterexample(assignment, None, "equivalence-mismatch", (match, bit))
+
+
+def _circuit_lanes(circ: Circuit, order: tuple[int, ...]) -> int:
+    """The circuit on the boolean representation of every lane of ``order``."""
+    indicators = indicator_lanes(order)
+    masks = [indicators[v] for v in order] + [indicators[-v] for v in order]
+    return evaluate_lanes(circ, masks, 3 ** len(order))
 
 
 # --- generators -----------------------------------------------------------------
@@ -306,6 +311,21 @@ def _record(suite: str, instance: int | str, failures: list[str]) -> CheckRecord
     return CheckRecord(suite, str(instance), not failures, "; ".join(failures[:3]))
 
 
+def _lane_failures(order: tuple[int, ...], checks: list[tuple[int, str]]) -> list[str]:
+    """``"<text> at <assignment>"`` per lane of each ``(mask, text)``, as a loop over the rows writes them."""
+    return [f"{text} at {PartialAssignment(lits, universe=order).render()}"
+            for lane, lits in enumerate(assignment_literals(order))
+            for mask, text in checks if mask >> lane & 1]
+
+
+def _matching_checks(reader: Propagator, want: int, failed: str, differs: str,
+                     on: int = -1) -> list[tuple[int, str]]:
+    """Where a matching reader fails, then where it misreads the yes lanes ``want``, on ``on``."""
+    lanes = propagate_lanes(reader.formula, reader.inputs)
+    wrong = lanes.masks.get(reader.output, 0) ^ want
+    return [(on & lanes.fail, failed), (on & ~lanes.fail & wrong, differs)]
+
+
 def _suite_algorithm_agreement(seed: int, count: int) -> Iterator[CheckRecord]:
     for sub in _sub_seeds(seed, count):
         rng = random.Random(sub)
@@ -432,37 +452,29 @@ def _suite_nu_roundtrip(seed: int, count: int) -> Iterator[CheckRecord]:
         formula = random_cnf(rng.randint(1, 4), rng.randint(1, 8), 3, seed=rng.getrandbits(32))
         width = rng.randint(0, min(3, len(formula.variables)))
         inputs = frozenset(rng.sample(sorted(formula.variables), width)) if formula.variables else frozenset()
-        nu = NuPropagator(inputs, formula)
-        lifted = nu_to_propagator(nu)
-        for assignment in iter_assignments(inputs):
-            try:
-                if eval_matching(lifted, assignment) != eval_nu(nu, assignment):
-                    failures.append(f"lifted value differs at {assignment.render()}")
-            except MatchingProtocolError:
-                failures.append(f"lifted propagator failed at {assignment.render()}")
+        # a nu propagator says yes on the lanes where it fails
+        nu = propagate_lanes(formula, inputs)
+        lifted = nu_to_propagator(NuPropagator(inputs, formula))
+        failures += _lane_failures(nu.order, _matching_checks(
+            lifted, nu.fail, "lifted propagator failed", "lifted value differs"))
         # output-blocking direction and round trip, on the class where
         # blocking is exact (at most one positive literal per clause)
         prop, _ = random_failure_free_propagator(rng.getrandbits(32), max_vars=4,
                                                  max_clauses=6, max_inputs=3, horn=True)
         dropped = propagator_to_nu(prop)
         back = nu_to_propagator(dropped)
-        for assignment in iter_assignments(prop.inputs):
-            want = eval_matching(prop, assignment)
-            if eval_nu(dropped, assignment) != want:
-                failures.append(f"nu value differs at {assignment.render()}")
-            if eval_matching(back, assignment) != want:
-                failures.append(f"round trip differs at {assignment.render()}")
+        source = propagate_lanes(prop.formula, prop.inputs)
+        want = source.masks.get(prop.output, 0)
+        failures += _lane_failures(source.order, [
+            (propagate_lanes(dropped.formula, dropped.inputs).fail ^ want, "nu value differs"),
+            *_matching_checks(back, want, "round trip propagator failed", "round trip differs")])
         # on arbitrary formulas blocking may only over-report, never miss
         wild = random_propagator(rng.getrandbits(32), max_vars=4, max_clauses=6, max_inputs=3)
         blocked = propagator_to_nu(wild)
-        for assignment in iter_assignments(wild.inputs):
-            try:
-                if eval_matching(wild, assignment) is not Matching.YES:
-                    continue
-            except MatchingProtocolError:
-                continue
-            if eval_nu(blocked, assignment) is not Matching.YES:
-                failures.append(f"blocked run missed a match at {assignment.render()}")
+        source = propagate_lanes(wild.formula, wild.inputs)
+        matched = ~source.fail & source.masks.get(wild.output, 0)
+        blocked_yes = propagate_lanes(blocked.formula, blocked.inputs).fail
+        failures += _lane_failures(source.order, [(matched & ~blocked_yes, "blocked run missed a match")])
         # concrete polynomial size bound from the mirror's counting identities
         m = len(dropped.formula.variables)
         wide = sum(len(c) for c in dropped.formula.clauses if len(c) >= 2)
@@ -479,21 +491,13 @@ def _suite_reified_bullets(seed: int, count: int) -> Iterator[CheckRecord]:
         rng = random.Random(sub)
         prop = random_propagator(rng.getrandbits(32), max_vars=5, max_clauses=8, max_inputs=3)
         mirrored = reify_propagator(prop)
-        failures = []
-        for assignment in iter_assignments(prop.inputs):
-            base = propagate_staged(restrict(prop.formula, assignment))
-            sim = propagate_staged(restrict(mirrored.formula, assignment), early_exit=True)
-            if sim.is_bottom:
-                failures.append(f"mirror failed at {assignment.render()}")
-                continue
-            checks = (
-                (mirrored.out_fail, base.is_bottom),
-                (mirrored.out_true, prop.output in base.produced),
-                (mirrored.out_false, -prop.output in base.produced),
-            )
-            for out_var, expected in checks:
-                if (out_var in sim.produced) != expected:
-                    failures.append(f"output {out_var} wrong at {assignment.render()}")
+        base = propagate_lanes(prop.formula, prop.inputs)
+        sim = propagate_lanes(mirrored.formula, prop.inputs)
+        expected = {mirrored.out_fail: base.fail, mirrored.out_true: base.masks.get(prop.output, 0),
+                    mirrored.out_false: base.masks.get(-prop.output, 0)}
+        failures = _lane_failures(base.order, [(sim.fail, "mirror failed")] + [
+            (~sim.fail & (sim.masks.get(out_var, 0) ^ want), f"output {out_var} wrong")
+            for out_var, want in expected.items()])
         yield _record("reified-propagator-bullets", sub, failures)
 
 
@@ -502,22 +506,18 @@ def _suite_filtering_roundtrip(seed: int, count: int) -> Iterator[CheckRecord]:
         rng = random.Random(sub)
         prop = random_propagator(rng.getrandbits(32), max_vars=3, max_clauses=4, max_inputs=2)
         true_p, false_p, fail_p = filtering_to_matchings(prop)
-        table = tabulate(prop)
-        failures = []
-        for lits, value in table.items():
-            assignment = PartialAssignment(lits, universe=prop.inputs)
-            fail_want = Matching.YES if value is Filtering.FAIL else Matching.NO
-            if eval_matching(fail_p, assignment) != fail_want:
-                failures.append(f"fail reader differs at {assignment.render()}")
-            if value is not Filtering.FAIL:
-                true_want = Matching.YES if value is Filtering.TRUE else Matching.NO
-                false_want = Matching.YES if value is Filtering.FALSE else Matching.NO
-                if eval_matching(true_p, assignment) != true_want:
-                    failures.append(f"true reader differs at {assignment.render()}")
-                if eval_matching(false_p, assignment) != false_want:
-                    failures.append(f"false reader differs at {assignment.render()}")
+        source = propagate_lanes(prop.formula, prop.inputs)
+        # the true and false readers are read where the source does not fail
+        holds = ~source.fail
+        failures = _lane_failures(source.order, [
+            *_matching_checks(fail_p, source.fail, "fail reader failed", "fail reader differs"),
+            *_matching_checks(true_p, holds & source.masks.get(prop.output, 0),
+                              "true reader failed", "true reader differs", on=holds),
+            *_matching_checks(false_p, holds & source.masks.get(-prop.output, 0),
+                              "false reader failed", "false reader differs", on=holds),
+        ])
         combined = matchings_to_filtering(true_p, false_p, fail_p)
-        if tabulate(combined) != table:
+        if tabulate(combined) != tabulate(prop):
             failures.append("combined filtering table differs")
         yield _record("filtering-roundtrip", sub, failures)
 
@@ -559,15 +559,9 @@ def _suite_th1_th2_roundtrip(seed: int, count: int) -> Iterator[CheckRecord]:
         circ = _th1_circuit(random.Random(sub), sub)
         prop = circuit_to_propagator(circ)
         back = extract_circuit(prop).circuit
-        order = sorted(prop.inputs)
-        assignments = enumerate_assignments(order)
-        reps = [boolean_representation(a, order) for a in assignments]
-        first = evaluate_batch(circ, reps)
-        second = evaluate_batch(back, reps)
-        failures = []
-        for assignment, a_bit, b_bit in zip(assignments, first, second):
-            if a_bit != b_bit:
-                failures.append(f"round trip differs at {assignment.render()}")
+        order = enumeration_order(prop.inputs)
+        wrong = _circuit_lanes(circ, order) ^ _circuit_lanes(back, order)
+        failures = _lane_failures(order, [(wrong, "round trip differs")])
         yield _record("th1-th2-roundtrip", sub, failures)
 
 

@@ -241,6 +241,21 @@ def test_tabulate_then_check_monotone_with_names_a_cell_cannot_carry(tmp_path, c
     assert main(["check-monotone", str(table)]) == 0
     assert capsys.readouterr().out == "PASS monotone\n"
 
+@pytest.mark.parametrize("rows", [
+    "0=x,00,no\n0=1,10,yes\n",                 # read as monotone before
+    "0=x,00,yes\n0=1,10,no\n",                 # read as 'not a literal: 0' before
+    "0=x,00,no\n0=1,10,yes\n0=0,01,no\n",     # read as a repeated row before
+    "00=x,00,no\n00=1,10,yes\n",
+])
+def test_check_monotone_rejects_a_column_naming_variable_0(tmp_path, capsys, rows):
+    path = tmp_path / "zero.csv"
+    path.write_text("assignment,bits,outcome\n" + rows)
+    assert main(["check-monotone", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table column names variable 0\n"
+
+
 def test_check_monotone_rejects_a_repeated_row(tmp_path, capsys):
     path = tmp_path / "twice.csv"
     path.write_text("assignment,bits,outcome\nv=x,00,no\nv=1,10,yes\nv=0,01,no\nv=1,10,no\n")

@@ -531,12 +531,10 @@ def lane_rows(formula, variables):
     return [(f == "1", d) for f, d in zip(fail, derived)]
 
 
-def staged_rows(formula, variables):
-    rows = []
-    for assignment in iter_assignments(variables):
-        res = propagate_staged(restrict(formula, assignment), early_exit=True)
-        rows.append((res.is_bottom, set(res.produced)))
-    return rows
+def restricted_rows(formula, variables):
+    """Per assignment: (fails, produced) of the whole restricted run, failing runs included."""
+    return [(res.is_bottom, set(res.produced))
+            for res in (propagate_staged(restrict(formula, a)) for a in iter_assignments(variables))]
 
 
 def same_rows(lane, staged):
@@ -546,14 +544,20 @@ def same_rows(lane, staged):
 
 
 def test_propagate_lanes_matches_staged_engine_on_random_formulas():
+    # derived sets of failing lanes included: a lane runs the n+1 rounds of
+    # its own restricted formula, whose n counts the variables it assigns
     rng = random.Random(20261018)
-    for i in range(150):
+    failing = outside = 0
+    for i in range(1500):
         formula = random_cnf(rng.randint(0, 6), rng.randint(0, 14), rng.randint(1, 4),
                              seed=rng.getrandbits(32), horn=i % 2 == 1)
         pool = sorted(formula.variables | {7, 8})  # 7, 8 lie outside every formula here
         variables = rng.sample(pool, rng.randint(0, min(4, len(pool))))
-        same_rows(lane_rows(formula, variables), staged_rows(formula, variables))
-
+        restricted = restricted_rows(formula, variables)
+        assert lane_rows(formula, variables) == restricted, (formula.clauses, variables)
+        failing += sum(fails for fails, _ in restricted)
+        outside += not formula.variables.issuperset(variables)
+    assert failing > 1000 and outside > 300
 
 
 def test_propagate_lanes_matches_standard_engine_lane_by_lane():
@@ -575,6 +579,28 @@ def test_propagate_lanes_matches_standard_engine_lane_by_lane():
         outside += not formula.variables.issuperset(variables)
     assert failing and outside
 
+
+def test_propagate_lanes_seed_1403_failing_lane():
+    # lane {-2}: -2, then 3, then 1 and -1, then -3 at round 4 = n+1; the
+    # 2 that -3 would give at round 5 is past the restricted run
+    formula = random_cnf(3, 6, 2, seed=1403)
+    assert formula == F([-1, -3], [1, -3], [3, -3], [2, -2], [2, 3])
+    rows = lane_rows(formula, (2,))
+    assert rows == restricted_rows(formula, (2,))
+    assert rows[2] == (True, {-2, 3, 1, -1, -3})
+
+
+def test_propagate_lanes_round_count_follows_the_assigned_outside_variables():
+    # the same late chain as seed 1403; 9 is outside the formula, so the
+    # restricted run has 4 rounds where the lane leaves 9 unassigned and 5
+    # where it assigns 9, and only then derives 2
+    formula = F([-2], [-1, -3], [1, -3], [2, 3])
+    rows = lane_rows(formula, (9,))
+    assert rows == restricted_rows(formula, (9,))
+    assert [2 in derived for _, derived in rows] == [False, True, True]
+    assert [fails for fails, _ in rows] == [True, True, True]
+
+
 @pytest.mark.parametrize("clauses, variables", [
     ([[]], [1]),                          # an empty clause fires nothing
     ([[], [-1, 2]], [1]),
@@ -587,7 +613,7 @@ def test_propagate_lanes_matches_standard_engine_lane_by_lane():
 ])
 def test_propagate_lanes_edge_cases(clauses, variables):
     formula = F(*clauses)
-    same_rows(lane_rows(formula, variables), staged_rows(formula, variables))
+    assert lane_rows(formula, variables) == restricted_rows(formula, variables)
 
 
 def test_propagate_lanes_keeps_empty_clause_semantics():

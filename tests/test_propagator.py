@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from unitprop.cnf import CnfFormula, PartialAssignment, format_dimacs, iter_assignments
+from unitprop.cnf import (
+    CnfFormula,
+    PartialAssignment,
+    as_literals,
+    format_dimacs,
+    iter_assignments,
+    propagate_staged,
+    restrict,
+)
 from unitprop.propagator import (
     Filtering,
     FunctionTable,
@@ -100,6 +108,40 @@ def test_eval_nu_rows():
     assert eval_nu(NU, [1]) is Matching.YES
     assert eval_nu(NU, []) is Matching.NO
     assert eval_nu(NU, [-1, -2]) is Matching.NO
+
+
+def seeded_corpus():
+    """Seeded propagators, with inputs outside the formula and outputs that are inputs."""
+    for seed in range(250):
+        prop = random_propagator(92000 + seed, max_vars=5, max_clauses=10, max_inputs=3,
+                                 horn=seed % 2 == 1)
+        top = max(prop.formula.variables)
+        yield prop
+        yield Propagator(prop.formula, prop.inputs | {top + 1}, prop.output)
+        if prop.inputs:
+            yield Propagator(prop.formula, prop.inputs, min(prop.inputs))
+
+
+def test_seeded_evaluators_match_restricted_runs():
+    # each evaluator is one seeded lane; the reference conjoins the
+    # assignment as unit clauses, [v, -v] assignments included
+    calls = 0
+    for prop in seeded_corpus():
+        nu = NuPropagator(prop.inputs, prop.formula)
+        assignments = [*iter_assignments(prop.inputs), *([v, -v] for v in sorted(prop.inputs))]
+        for assignment in assignments:
+            res = propagate_staged(restrict(prop.formula, as_literals(assignment)), early_exit=True)
+            want = (Filtering.FAIL if res.is_bottom else Filtering.TRUE if prop.output in res.produced
+                    else Filtering.FALSE if -prop.output in res.produced else Filtering.NA)
+            assert eval_filtering(prop, assignment) is want, (prop, assignment)
+            if res.is_bottom:
+                with pytest.raises(MatchingProtocolError):
+                    eval_matching(prop, assignment)
+            else:
+                assert eval_matching(prop, assignment) is Matching(want is Filtering.TRUE)
+            assert eval_nu(nu, assignment) is Matching(res.is_bottom)
+            calls += 3
+    assert calls > 20000
 
 
 def test_propagator_to_nu_construction():
@@ -387,6 +429,17 @@ def test_table_csv_keeps_names_it_can_carry():
 ])
 def test_table_csv_rejects_contradictions(text, message):
     with pytest.raises(ValueError, match=message):
+        FunctionTable.parse_csv("assignment,bits,outcome\n" + text)
+
+
+@pytest.mark.parametrize("text", [
+    "0=x,00,no\n0=1,10,yes\n",
+    "0=x,00,yes\n0=1,10,no\n",
+    "0=x,00,no\n0=1,10,yes\n0=0,01,no\n",
+    '"a=x,00=x",0000,no\n',
+])
+def test_table_csv_rejects_a_column_naming_variable_0(text):
+    with pytest.raises(ValueError, match="^table column names variable 0$"):
         FunctionTable.parse_csv("assignment,bits,outcome\n" + text)
 
 

@@ -1,18 +1,23 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
+import unitprop.propagator as propagator
 import unitprop.verify as verify
-from unitprop.circuit import Circuit, evaluate, gate, validate_monotone
+from unitprop.circuit import Circuit, Gate, evaluate, gate, validate_monotone
+from unitprop.cli import main
 from unitprop.cnf import CnfFormula, PartialAssignment
 from unitprop.propagator import (
     Filtering,
     FunctionTable,
     Matching,
+    NuPropagator,
     Propagator,
     boolean_representation,
     format_propagator,
+    reify_propagator,
     tabulate,
 )
 from unitprop.verify import (
@@ -344,3 +349,94 @@ def test_random_failure_free_propagator_draws_are_pinned(kwargs, skipped, digest
         assert all(value is not Filtering.FAIL for _, value in tabulate(prop).items())
     assert counts == skipped
     assert text.hexdigest() == digest
+
+
+# --- injected faults: suite records ---------------------------------------------
+
+def _unblocked_nu(monkeypatch):
+    # the nu propagator keeps the output instead of forbidding it
+    monkeypatch.setattr(verify, "propagator_to_nu", lambda prop: NuPropagator(prop.inputs, prop.formula))
+
+
+def _outputs_swapped(monkeypatch):
+    def swapped(prop):
+        mirrored = reify_propagator(prop)
+        return dataclasses.replace(mirrored, out_true=mirrored.out_false, out_false=mirrored.out_true)
+
+    monkeypatch.setattr(verify, "reify_propagator", swapped)
+    monkeypatch.setattr(propagator, "reify_propagator", swapped)
+
+
+def _readers(change):
+    def inject(monkeypatch):
+        readers = verify.filtering_to_matchings
+        monkeypatch.setattr(verify, "filtering_to_matchings", lambda prop: change(*readers(prop)))
+    return inject
+
+
+def _constant_extraction(monkeypatch):
+    extract = verify.extract_circuit
+
+    def constant(prop):
+        extraction = extract(prop)
+        circ = Circuit(extraction.circuit.inputs, [Gate("const0", "constant-out", ())], "constant-out")
+        return dataclasses.replace(extraction, circuit=circ)
+
+    monkeypatch.setattr(verify, "extract_circuit", constant)
+
+
+FAULTS = {
+    "unblocked-nu": _unblocked_nu,
+    "outputs-swapped": _outputs_swapped,
+    "readers-swapped": _readers(lambda true_p, false_p, fail_p: (false_p, true_p, fail_p)),
+    "wrong-fail-output": _readers(lambda true_p, false_p, fail_p: (
+        true_p, false_p, dataclasses.replace(fail_p, output=fail_p.output - 1))),
+    "constant-extraction": _constant_extraction,
+}
+FAULT_SUITES = ("nu-roundtrip", "reified-propagator-bullets", "filtering-roundtrip", "th1-th2-roundtrip")
+
+
+def test_suite_records_under_injected_faults_are_pinned(monkeypatch):
+    # the digest was taken from suites that evaluated one restricted formula
+    # per row: reading whole lanes must report the same failures, in the
+    # same order, with the same text
+    lines = []
+    for name, inject in FAULTS.items():
+        with monkeypatch.context() as patched:
+            inject(patched)
+            for suite in FAULT_SUITES:
+                lines += [f"{name}\t{record.line()}" for record in run_suite(suite, seed=7, count=12)]
+    assert len(lines) == 240
+    assert sum("\tFAIL\t" in line for line in lines) == 48
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "3b67aa970d8f88b30325dcb84f918b32572b1e3bc6145956f6547467ba1496cf"
+
+
+def _with_clash(prop):
+    """``prop`` with a fresh variable set both ways: propagation fails everywhere."""
+    fresh = max(prop.formula.variables | prop.inputs | {prop.output}) + 1
+    return Propagator(CnfFormula([*prop.formula.clauses, [fresh], [-fresh]]), prop.inputs, prop.output)
+
+
+def test_failing_readers_are_recorded(monkeypatch):
+    # a reader that fails where a matching value is read is a FAIL record
+    _readers(lambda true_p, false_p, fail_p: (_with_clash(true_p), false_p, fail_p))(monkeypatch)
+    lifted = verify.nu_to_propagator
+    monkeypatch.setattr(verify, "nu_to_propagator", lambda nu: _with_clash(lifted(nu)))
+    record = next(run_suite("filtering-roundtrip", seed=7, count=1))
+    assert not record.passed
+    assert record.detail.startswith("true reader failed at {}")
+    record = next(run_suite("nu-roundtrip", seed=7, count=1))
+    assert not record.passed
+    assert record.detail.startswith("lifted propagator failed at {}")
+    assert "round trip propagator failed at {}" in "; ".join(
+        r.detail for r in run_suite("nu-roundtrip", seed=7, count=5))
+
+
+def test_verify_reports_a_failing_reader_without_a_traceback(monkeypatch, capsys):
+    _readers(lambda true_p, false_p, fail_p: (true_p, false_p, _with_clash(fail_p)))(monkeypatch)
+    assert main(["verify", "filtering-roundtrip", "--seed", "7", "--count", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "\tFAIL\tfail reader failed at {}" in out
+    assert out.endswith("stopped at first failure (filtering-roundtrip)\n")
+    assert err == ""
