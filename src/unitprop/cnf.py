@@ -2,7 +2,9 @@
 
 Literals are nonzero ints: ``v`` for a variable, ``-v`` for its negation.
 Clauses are frozensets of literals, formulas are immutable sets of clauses
-over the variable universe induced by their clauses.
+over the variable universe induced by their clauses.  No engine depends on
+clause order; the canonical order (``clause_key``) is sorted on first read,
+by the readers that show it: DIMACS text and the mirror ledger.
 
 ``propagate_standard`` is the classic destructive loop (pick a unit clause,
 simplify, repeat); it always selects the smallest pending unit literal in
@@ -16,7 +18,6 @@ in :mod:`unitprop.reify`; ``propagate_lanes`` is its all-lanes case.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -83,13 +84,14 @@ def resolve_variable(token: str, names: Mapping[int, str] | None = None) -> int:
 class CnfFormula:
     """Immutable CNF formula: a set of clauses plus an optional symbol table.
 
-    Clauses are deduplicated and kept in a canonical order so that all
-    serializations and derived constructions are reproducible.  ``names``
-    maps variable ids to display names; it is presentation metadata and does
-    not take part in equality.
+    The deduplicated clauses are kept as one frozenset, which the engines,
+    size, equality and membership read.  ``clauses`` and iteration give the
+    canonical order (``clause_key``), sorted on first read and then kept.
+    ``names`` maps variable ids to display names; it is presentation
+    metadata and does not take part in equality.
     """
 
-    __slots__ = ("clauses", "names", "_variables")
+    __slots__ = ("_clause_set", "_clauses", "names", "_variables")
 
     def __init__(self, clauses: Iterable[Iterable[Lit]] = (), names: Mapping[int, str] | None = None):
         unique: set[Clause] = set()
@@ -105,29 +107,20 @@ class CnfFormula:
                     lits = clause_of(lits)
                     break
             unique.add(frozenset(lits))
-        object.__setattr__(self, "clauses", tuple(sorted(unique, key=clause_key)))
+        object.__setattr__(self, "_clause_set", frozenset(unique))
+        object.__setattr__(self, "_clauses", None)
         object.__setattr__(self, "names", dict(names) if names else {})
-        object.__setattr__(self, "_variables", frozenset(map(abs, chain.from_iterable(self.clauses))))
-
-    def _merged(self, extra: Iterable[Clause]) -> "CnfFormula":
-        """``CnfFormula(self.clauses + tuple(extra), names=self.names)`` by insertion, not a sort.
-
-        For a few added clauses: frozensets of literals, not checked again.
-        """
-        clauses, variables = list(self.clauses), self._variables
-        for clause in extra:
-            idx = bisect_left(clauses, clause_key(clause), key=clause_key)
-            if idx == len(clauses) or clauses[idx] != clause:
-                clauses.insert(idx, clause)
-                if not variables.issuperset(map(abs, clause)):
-                    variables = variables.union(map(abs, clause))
-        merged = CnfFormula(names=self.names)
-        object.__setattr__(merged, "clauses", tuple(clauses))
-        object.__setattr__(merged, "_variables", variables)
-        return merged
+        object.__setattr__(self, "_variables", frozenset(map(abs, chain.from_iterable(unique))))
 
     def __setattr__(self, name, value):
         raise AttributeError("CnfFormula is immutable")
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses in canonical order, sorted on first read and then kept."""
+        if self._clauses is None:
+            object.__setattr__(self, "_clauses", tuple(sorted(self._clause_set, key=clause_key)))
+        return self._clauses
 
     @property
     def variables(self) -> frozenset[int]:
@@ -135,34 +128,31 @@ class CnfFormula:
 
     def size(self) -> int:
         """Total number of literal occurrences."""
-        return sum(len(c) for c in self.clauses)
+        return sum(map(len, self._clause_set))
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return len(self._clause_set)
 
     def __contains__(self, clause) -> bool:
         try:
             target = frozenset(clause)
-            key = clause_key(target)
         except TypeError:
-            return False  # not a clause of literals
-        # the clauses are sorted by clause_key
-        idx = bisect_left(self.clauses, key, key=clause_key)
-        return idx < len(self.clauses) and self.clauses[idx] == target
+            return False  # not a collection of hashable items
+        return all(isinstance(l, int) for l in target) and target in self._clause_set  # {1.0} == {1}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CnfFormula):
             return NotImplemented
-        return self.clauses == other.clauses
+        return self._clause_set == other._clause_set
 
     def __hash__(self) -> int:
-        return hash(self.clauses)
+        return hash(self._clause_set)
 
     def __repr__(self) -> str:
-        return f"CnfFormula({len(self.clauses)} clauses, {len(self._variables)} vars)"
+        return f"CnfFormula({len(self._clause_set)} clauses, {len(self._variables)} vars)"
 
 
 class PartialAssignment:
@@ -262,7 +252,8 @@ def restrict(formula: CnfFormula, assignment) -> CnfFormula:
     The assignment may mention variables the formula does not; they join the
     universe through their unit clauses.
     """
-    return formula._merged(frozenset((l,)) for l in as_literals(assignment))
+    units = ((l,) for l in as_literals(assignment))
+    return CnfFormula(chain(formula._clause_set, units), names=formula.names)
 
 
 class PropagationResult:
@@ -318,7 +309,7 @@ class PropagationResult:
         return f"PropagationResult({tag}, {len(self.stages)} stages)"
 
 
-def _occurrences(clauses: tuple[Clause, ...]) -> dict[Lit, list[int]]:
+def _occurrences(clauses: Sequence[Clause]) -> dict[Lit, list[int]]:
     """Positions of the clauses each literal occurs in."""
     occurrences: dict[Lit, list[int]] = {}
     for idx, clause in enumerate(clauses):
@@ -345,7 +336,7 @@ def propagate_standard(formula: CnfFormula) -> PropagationResult:
     of its clashing literals is selected) keeps that literal, so it is never
     empty and its unit, already queued, is not queued again.
     """
-    clauses = formula.clauses
+    clauses = tuple(formula._clause_set)
     occurrences = _occurrences(clauses)
     unfalsified = [len(clause) for clause in clauses]
     pending: list[tuple[tuple[int, bool], Lit]] = []  # unit literals by lit_key
@@ -389,7 +380,7 @@ def propagation_stage(formula: CnfFormula, assigned: Iterable[Lit]) -> frozenset
     """
     have = frozenset(assigned)
     out: set[Lit] = set()
-    for clause in formula.clauses:
+    for clause in formula._clause_set:
         for w in clause:
             if w in have or w in out:
                 continue
@@ -398,7 +389,7 @@ def propagation_stage(formula: CnfFormula, assigned: Iterable[Lit]) -> frozenset
     return frozenset(out)
 
 
-def _propagate(clauses: tuple[Clause, ...], seeds: Mapping[Lit, int], live: Sequence[int],
+def _propagate(clauses: Iterable[Clause], seeds: Mapping[Lit, int], live: Sequence[int],
                early_exit: bool = False) -> tuple[dict[Lit, int], list[frozenset[Lit]]]:
     """Synchronous unit-resolution rounds on lanes: the one propagation core.
 
@@ -410,8 +401,9 @@ def _propagate(clauses: tuple[Clause, ...], seeds: Mapping[Lit, int], live: Sequ
     only clauses of a grown literal's negation are revisited.  Returns the
     lanes of each set literal and the literals grown per round, until a
     round grows nothing, ``live`` runs out or, with ``early_exit``, a
-    literal and its negation meet on a lane.
+    literal and its negation meet on a lane.  Clause order does not matter.
     """
+    clauses = tuple(clauses)
     occurrences = _occurrences(clauses)
     falsified = [0] * len(clauses)  # literals of the clause whose negation is set on some lane
     masks: dict[Lit, int] = {}
@@ -468,7 +460,7 @@ def propagate_staged(formula: CnfFormula, early_exit: bool = False) -> Propagati
     :func:`propagation_stage` yields there.
     """
     rounds = len(formula.variables) + 1
-    masks, stages = _propagate(formula.clauses, {}, [1] * rounds, early_exit)
+    masks, stages = _propagate(formula._clause_set, {}, [1] * rounds, early_exit)
     if not early_exit:
         stages += [frozenset()] * (rounds - len(stages))  # rounds past the fixpoint
     return PropagationResult(stages, is_bottom=bool(_clashes(masks)))
@@ -533,7 +525,7 @@ def propagate_lanes(formula: CnfFormula, variables: Iterable[int]) -> Lanes:
     for var in set(order) - formula.variables:
         assigned = seeds[var] | seeds[-var]
         at_least = [full] + [more | (fewer & assigned) for fewer, more in zip(at_least, at_least[1:] + [0])]
-    masks, _ = _propagate(formula.clauses, seeds, [full] * len(formula.variables) + at_least)
+    masks, _ = _propagate(formula._clause_set, seeds, [full] * len(formula.variables) + at_least)
     return Lanes(order, masks, _clashes(masks))
 
 
@@ -545,7 +537,7 @@ def format_dimacs(formula: CnfFormula, comments: Iterable[str] = ()) -> str:
     for var in sorted(formula.names):
         lines.append(f"c var {var} {formula.names[var]}")
     max_var = max(formula.variables, default=0)
-    lines.append(f"p cnf {max_var} {len(formula.clauses)}")
+    lines.append(f"p cnf {max_var} {len(formula)}")
     lines.extend(map(dimacs_clause, formula.clauses))
     return "\n".join(lines) + "\n"
 

@@ -30,6 +30,7 @@ from .cnf import (
     parse_dimacs,
     propagate_lanes,
     resolve_variable,
+    restrict,
 )
 from .reify import ReifiedFormula, clash_clauses, reify_injected
 
@@ -54,6 +55,7 @@ class Matching(enum.IntEnum):
 
 
 OUTCOMES = {str(v): v for v in Filtering} | {str(v): v for v in Matching}
+_DIGITS = {"x": 0, "1": 1, "0": 2}  # enumeration digit of a value: unassigned / true / false
 
 
 class MatchingProtocolError(RuntimeError):
@@ -130,7 +132,7 @@ def _check_input_scope(inputs: frozenset[int], assignment) -> frozenset[Lit]:
 def _run(formula: CnfFormula, lits: frozenset[Lit]) -> tuple[bool, dict[Lit, int]]:
     """Failure and derived literals of ``propagate_staged(restrict(formula, lits), early_exit=True)``."""
     rounds = len(formula.variables.union(map(abs, lits))) + 1
-    masks, _ = _propagate(formula.clauses, dict.fromkeys(lits, 1), [1] * rounds, early_exit=True)
+    masks, _ = _propagate(formula._clause_set, dict.fromkeys(lits, 1), [1] * rounds, early_exit=True)
     return bool(_clashes(masks)), masks
 
 
@@ -180,14 +182,15 @@ def propagator_to_nu(prop: Propagator) -> NuPropagator:
     formulas: blocking s in (s or a) and (s or -a) fails outright while s
     was never derivable.
     """
-    return NuPropagator(prop.inputs, prop.formula._merged((frozenset((-prop.output,)),)))
+    return NuPropagator(prop.inputs, restrict(prop.formula, (-prop.output,)))
 
 
 def _mirror_with_fail(formula: CnfFormula, inputs: frozenset[int]):
     """Mirror with ``inputs`` wired in, plus a fresh variable read off its clashes."""
     mirrored = reify_injected(formula, inputs & formula.variables)
     fail = _fresh_var(mirrored.formula.variables, inputs)
-    return mirrored, mirrored.formula._merged(clash_clauses(mirrored, fail)), fail
+    clauses = (*mirrored.formula._clause_set, *clash_clauses(mirrored, fail))
+    return mirrored, CnfFormula(clauses, names=mirrored.formula.names), fail
 
 
 def nu_to_propagator(nu: NuPropagator) -> Propagator:
@@ -227,15 +230,15 @@ def filtering_to_matchings(prop: Propagator) -> tuple[Propagator, Propagator, Pr
     of the mirror-backed counterpart.
     """
     fresh = _fresh_var(prop.formula.variables, prop.inputs, (prop.output,))
-    false_reader = Propagator(prop.formula._merged((frozenset((prop.output, fresh)),)),
-                              prop.inputs, fresh)
+    linked = CnfFormula((*prop.formula._clause_set, (prop.output, fresh)), names=prop.formula.names)
+    false_reader = Propagator(linked, prop.inputs, fresh)
     mirrored = reify_propagator(prop)
     fail_reader = Propagator(mirrored.formula, prop.inputs, mirrored.out_fail)
     return prop, false_reader, fail_reader
 
 
 def _rename_apart(formula: CnfFormula, keep: frozenset[int], next_id: int):
-    """Rename every variable outside ``keep`` to ids from ``next_id`` up; clauses come unsorted."""
+    """Rename every variable outside ``keep`` to ids from ``next_id`` up; returns bare clauses."""
     mapping: dict[int, int] = {}
     for v in sorted(formula.variables - keep):
         mapping[v] = next_id
@@ -245,7 +248,7 @@ def _rename_apart(formula: CnfFormula, keep: frozenset[int], next_id: int):
         v = mapping.get(abs(lit), abs(lit))
         return v if lit > 0 else -v
 
-    clauses = [frozenset(ren(l) for l in c) for c in formula.clauses]
+    clauses = [frozenset(ren(l) for l in c) for c in formula._clause_set]
     names = {mapping.get(v, v): name for v, name in formula.names.items()
              if v in mapping or v in keep}
     return clauses, names, mapping, next_id
@@ -329,8 +332,9 @@ def parse_assignment(text: str, variables: Iterable[int],
 class FunctionTable:
     """Explicit map from every consistent input assignment to an outcome.
 
-    Rows are keyed by the assignment's literal set and kept in enumeration
-    order.  Values are uniformly :class:`Filtering` or :class:`Matching`.
+    Rows are keyed by the assignment's literal set and kept in the order
+    given: enumeration order from :func:`tabulate` and :meth:`parse_csv`.
+    Values are uniformly :class:`Filtering` or :class:`Matching`.
     """
 
     def __init__(self, variables: Sequence[int], rows: Mapping[frozenset, object] | Iterable[tuple],
@@ -410,13 +414,14 @@ class FunctionTable:
         variables: tuple[int, ...] | None = None
         names: dict[int, str] = {}
         by_name: dict[str, int] = {}
-        rows: dict[frozenset, object] = {}
+        rows: dict[int, tuple[frozenset, object]] = {}  # by place in the enumeration
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
                 raise ValueError(f"table row needs 3 columns, got {len(row)}: {','.join(row)!r}")
-            tokens = [t.partition("=") for t in row[0].split(",")]
+            # an empty cell is the one assignment of a table without variables
+            tokens = [t.partition("=") for t in row[0].split(",")] if row[0] else []
             row_names = [name for name, _, _ in tokens]
             if variables is None:
                 numeric = {int(name) for name in row_names if name.isdigit()}
@@ -431,27 +436,26 @@ class FunctionTable:
                     if name in by_name or var in by_name.values():
                         raise ValueError(f"repeated table column: {name!r}")
                     by_name[name] = var
-                variables = tuple(by_name.values())
-            elif [n for n in row_names] != list(by_name):
+                variables, columns = tuple(by_name.values()), list(by_name)
+            elif row_names != columns:
                 raise ValueError("inconsistent variable order across rows")
-            lits = []
+            lits, rank = [], 0  # rank: ternary counting over the columns
             for name, _, value in tokens:
-                if value == "1":
-                    lits.append(by_name[name])
-                elif value == "0":
-                    lits.append(-by_name[name])
-                elif value != "x":
+                digit = _DIGITS.get(value)
+                if digit is None:
                     raise ValueError(f"bad assignment value: {value!r}")
+                rank = 3 * rank + digit
+                if digit:
+                    lits.append(by_name[name] if digit == 1 else -by_name[name])
             outcome = OUTCOMES.get(row[2])
             if outcome is None:
                 raise ValueError(f"bad outcome: {row[2]!r}")
-            key = frozenset(lits)
-            if key in rows:
+            if rank in rows:
                 raise ValueError(f"repeated table row: {row[0]!r}")
-            rows[key] = outcome
+            rows[rank] = frozenset(lits), outcome
         if variables is None:
             raise ValueError("empty table")
-        return cls(variables, rows, names=names)
+        return cls(variables, [rows[rank] for rank in sorted(rows)], names=names)
 
 
 # outcome of a lane from its (fail, output, negated output) bits

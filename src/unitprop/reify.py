@@ -292,7 +292,8 @@ def failed_literal_formula(formula: CnfFormula, lit: Lit) -> tuple[CnfFormula, L
     if abs(lit) not in formula.variables:
         raise ValueError(f"literal {lit} is not over the formula's variables")
     mirror = reify(restrict(formula, [lit]))
-    return mirror.formula._merged(clash_clauses(mirror, -lit)), -lit
+    probe = (*mirror.formula._clause_set, *clash_clauses(mirror, -lit))
+    return CnfFormula(probe, names=mirror.formula.names), -lit
 
 
 # --- serialization ------------------------------------------------------------

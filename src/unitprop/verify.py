@@ -84,8 +84,8 @@ def check_monotone(table: FunctionTable) -> Counterexample | None:
     if table.codomain != "matching":
         raise ValueError("monotonicity is defined for matching tables; use as_matching()")
     rows = table.rows
-    found = []  # (I, J, position of J)
-    for j_pos, (j_lits, j_val) in enumerate(rows.items()):
+    found = []  # (I, J)
+    for j_lits, j_val in rows.items():
         if j_val is Matching.YES:
             continue
         for lit in j_lits:
@@ -94,27 +94,28 @@ def check_monotone(table: FunctionTable) -> Counterexample | None:
             if i_val is None:
                 return _check_monotone_pairs(table)
             if i_val is Matching.YES:
-                found.append((i_lits, j_lits, j_pos))
+                found.append((i_lits, j_lits))
     if not found:
         return None
-    position = {lits: pos for pos, lits in enumerate(rows)}
-    i_lits, j_lits, _ = min(found, key=lambda v: (position[v[0]], v[2]))
-    return _violation(table, i_lits, j_lits)
+    rank = _enumeration_rank(table.variables)
+    return _violation(table, *min(found, key=lambda pair: (rank(pair[0]), rank(pair[1]))))
 
 
 def _check_monotone_pairs(table: FunctionTable) -> Counterexample | None:
     """Reference for :func:`check_monotone`: every pair I <= J, O(9^k)."""
-    rows = list(table.items())
-    best = None
-    best_key = None
-    for i_pos, (i_lits, i_val) in enumerate(rows):
-        for j_pos, (j_lits, j_val) in enumerate(rows):
-            if i_lits <= j_lits and i_val > j_val:
-                key = (len(j_lits - i_lits), i_pos, j_pos)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i_lits, j_lits)
-    return None if best is None else _violation(table, *best)
+    rank, rows = _enumeration_rank(table.variables), table.items()
+    best = min(((len(j_lits - i_lits), rank(i_lits), rank(j_lits), i_lits, j_lits)
+                for i_lits, i_val in rows for j_lits, j_val in rows
+                if i_lits <= j_lits and i_val > j_val), default=None)
+    return None if best is None else _violation(table, *best[3:])
+
+
+def _enumeration_rank(order: tuple[int, ...]) -> Callable[[frozenset], int]:
+    """A literal set's place in the enumeration of ``order`` (ternary counting), whatever the row order."""
+    weight = {}
+    for pos, var in enumerate(reversed(order)):
+        weight[var], weight[-var] = 3 ** pos, 2 * 3 ** pos
+    return lambda lits: sum(map(weight.__getitem__, lits))
 
 
 def _violation(table: FunctionTable, i_lits: frozenset, j_lits: frozenset) -> Counterexample:
@@ -481,8 +482,8 @@ def _suite_nu_roundtrip(seed: int, count: int) -> Iterator[CheckRecord]:
         units = sum(1 for c in dropped.formula.clauses if len(c) == 1)
         injected = len(dropped.inputs & dropped.formula.variables)
         bound = 2 * units + 2 * m * m + m * wide + 2 * injected + m
-        if len(back.formula.clauses) > bound:
-            failures.append(f"clause count {len(back.formula.clauses)} exceeds bound {bound}")
+        if len(back.formula) > bound:
+            failures.append(f"clause count {len(back.formula)} exceeds bound {bound}")
         yield _record("nu-roundtrip", sub, failures)
 
 

@@ -289,6 +289,34 @@ def test_check_monotone_csv_with_holes(tmp_path, capsys):
     assert capsys.readouterr().out == "monotonicity-violation I={} J={a,b} outcomes=yes/no\n"
 
 
+def test_tabulate_then_check_monotone_without_inputs(tmp_path, capsys):
+    path = tmp_path / "const.prop"
+    path.write_text("c inputs\nc output 1\np cnf 1 1\n1 0\n")
+    table = tmp_path / "const.csv"
+    assert main(["tabulate", str(path), "-o", str(table)]) == 0
+    assert table.read_text() == "assignment,bits,outcome\n,,true\n"
+    assert main(["check-monotone", str(table)]) == 0
+    assert capsys.readouterr().out == "PASS monotone\n"
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+def test_check_monotone_reports_the_same_violation_whatever_the_row_order(tmp_path, capsys, order):
+    rows = ['"a=x,b=x",0000,yes\n', '"a=x,b=1",0100,no\n', '"a=1,b=x",1000,no\n']
+    path = tmp_path / "tied.csv"
+    path.write_text("assignment,bits,outcome\n" + "".join(rows[i] for i in order))
+    assert main(["check-monotone", str(path)]) == 1
+    assert capsys.readouterr().out == "monotonicity-violation I={} J={b} outcomes=yes/no\n"
+
+
+def test_propagate_eval_and_tabulate_verbs_never_sort(chain_cnf, or_reader_file, sort_counter, capsys):
+    sort_counter.clear()  # writing the files sorted
+    assert main(["propagate", chain_cnf, "--trace"]) == 0
+    assert main(["eval", or_reader_file, "--assign", "v1=1,v2=x"]) == 0
+    assert main(["tabulate", or_reader_file]) == 0
+    assert sort_counter == []
+    assert capsys.readouterr().out.startswith("U1: b\nU2: a\n")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     path = tmp_path / "three.cnf"
     path.write_text("p cnf 3 3\n1 0\n-1 2 0\n-2 -3 0\n")

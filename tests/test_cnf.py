@@ -11,6 +11,7 @@ from unitprop.cnf import (
     PartialAssignment,
     PropagationResult,
     assignment_literals,
+    clause_key,
     clause_of,
     dimacs_clause,
     format_dimacs,
@@ -453,29 +454,28 @@ def test_membership():
             probe = frozenset(rng.choice((1, -1)) * rng.randint(1, 11) for _ in range(rng.randint(0, 3)))
             assert (probe in f) == (probe in present)
     f = F([1, -2], [3])
-    for probe in ([1, "a"], ["a"], [[1]], 5, None, [0], [1.5]):
+    for probe in ([1, "a"], ["a"], [[1]], 5, None, [0], [1.5], [1.0], [3.0], [-2, 1.0]):
         assert probe not in f
 
 
-def test_merged_equals_the_full_constructor():
+def test_restrict_equals_the_full_constructor():
     rng = random.Random(41)
     for i in range(150):
         base = random_cnf(rng.randint(0, 8), rng.randint(0, 20), rng.randint(1, 4), seed=i, horn=i % 2 == 1)
         base = CnfFormula(base.clauses, names={v: f"n{v}" for v in base.variables if v % 3 == 0})
         top = max(base.variables, default=0)
-        extra = [frozenset(c) for c in rng.sample(base.clauses, min(2, len(base)))]  # duplicates
-        extra += [frozenset(), frozenset((top + 1,)), frozenset((-(top + 2),)), frozenset((top + 3, -(top + 3)))]
-        extra += [frozenset((rng.choice((1, -1)) * rng.randint(1, top + 4),)) for _ in range(2)]
-        extra += [frozenset(rng.choice((1, -1)) * rng.randint(1, top + 4) for _ in range(rng.randint(1, 4)))]
-        rng.shuffle(extra)
-        extra += extra[:2]  # an added clause twice
-        merged = base._merged(extra)
-        full = CnfFormula(base.clauses + tuple(extra), names=base.names)
-        assert merged.clauses == full.clauses
-        assert merged.variables == full.variables
-        assert merged.names == full.names and merged.names is not base.names
-        assert format_dimacs(merged) == format_dimacs(full)
-    assert F([1])._merged(()) == F([1])
+        units = [next(iter(c)) for c in base.clauses if len(c) == 1][:2]  # clauses already present
+        units += [top + 1, -(top + 2)]  # variables the formula does not have
+        units += [rng.choice((1, -1)) * rng.randint(1, top + 4) for _ in range(3)]
+        rng.shuffle(units)
+        units += units[:2]  # a literal twice
+        restricted = restrict(base, units)
+        full = CnfFormula(base.clauses + tuple((l,) for l in units), names=base.names)
+        assert restricted.clauses == full.clauses
+        assert restricted.variables == full.variables
+        assert restricted.names == full.names and restricted.names is not base.names
+        assert format_dimacs(restricted) == format_dimacs(full)
+    assert restrict(F([1]), ()) == F([1])
 
 
 def test_dimacs_clause_is_the_lit_key_order():
@@ -484,6 +484,61 @@ def test_dimacs_clause_is_the_lit_key_order():
         clause = frozenset(rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 6)))
         lits = sorted(clause, key=lit_key)
         assert dimacs_clause(clause) == " ".join(map(str, lits + [0]))
+
+
+
+# --- a formula is a set of clauses ------------------------------------------------
+
+def iterating_in(formula, clauses):
+    """``formula`` with its clause set read in the order of ``clauses``."""
+    copy = CnfFormula(clauses, names=formula.names)
+    object.__setattr__(copy, "_clause_set", tuple(clauses))  # the engines only iterate it
+    return copy
+
+
+def engine_runs(formula, order, assigned):
+    """What every engine reports on ``formula``, the round loop unseeded, seeded and on all lanes."""
+    full = (1 << 3 ** len(order)) - 1
+    rounds = len(formula.variables) + 1
+    runs = (propagate_standard(formula), propagate_staged(formula), propagate_staged(formula, early_exit=True))
+    return (
+        [(r.stages, r.is_bottom) for r in runs],
+        propagate_lanes(formula, order), propagation_stage(formula, assigned),
+        cnf._propagate(formula._clause_set, dict.fromkeys(assigned, 1), [1] * (rounds + 2)),
+        cnf._propagate(formula._clause_set, indicator_lanes(order), [full] * (rounds + 3), early_exit=True),
+    )
+
+
+def test_engines_do_not_depend_on_clause_order():
+    rng = random.Random(47)
+    bottoms = 0
+    for f in standard_corpus(count=150, seed=4711):  # both modes, tautologies, empty clauses
+        variables = sorted(f.variables)
+        order = tuple(rng.sample(variables, min(3, len(variables))))
+        assigned = [rng.choice((1, -1)) * v for v in rng.sample(variables, min(2, len(variables)))]
+        want = engine_runs(f, order, assigned)
+        bottoms += want[0][0][1]
+        clauses = list(f.clauses)
+        for _ in range(3):
+            rng.shuffle(clauses)
+            assert engine_runs(iterating_in(f, clauses), order, assigned) == want, format_dimacs(f)
+    assert 0 < bottoms < 300  # failing and succeeding runs
+
+
+def test_parsing_and_the_engines_never_sort(sort_counter):
+    text = format_dimacs(random_cnf(9, 40, 3, seed=5))
+    sort_counter.clear()
+    f = parse_dimacs(text)
+    g = restrict(f, (12,))
+    for formula in (f, g):
+        propagate_standard(formula), propagate_staged(formula), propagate_staged(formula, early_exit=True)
+        propagate_lanes(formula, (1, 2, 12)), propagation_stage(formula, (1, -2))
+    assert (len(g), g.size(), g == f, hash(f) == hash(f), [12] in g) == (len(f) + 1, f.size() + 1, False, True, True)
+    assert sort_counter == []
+    # the readers that show the order sort once, on first read, and keep it
+    assert format_dimacs(f) == text and len(sort_counter) == len(f)
+    assert list(f) == list(f.clauses) and format_dimacs(f) == text
+    assert len(sort_counter) == len(f)
 
 
 # --- assignment enumeration ---------------------------------------------------

@@ -9,6 +9,7 @@ from unitprop.cnf import (
     as_literals,
     format_dimacs,
     iter_assignments,
+    parse_dimacs,
     propagate_staged,
     restrict,
 )
@@ -451,6 +452,52 @@ def test_table_csv_golden_first_lines():
     assert lines[1] == '"v1=x,v2=x",0000,na'
     assert lines[2] == '"v1=x,v2=1",0100,true'
     assert lines[3] == '"v1=x,v2=0",0001,na'
+
+
+def test_table_csv_round_trips_a_table_without_inputs():
+    table = tabulate(parse_propagator("c inputs\nc output 1\np cnf 1 1\n1 0\n"))
+    text = table.format_csv()
+    assert text == "assignment,bits,outcome\n,,true\n"
+    assert FunctionTable.parse_csv(text) == table
+    assert FunctionTable.parse_csv(text).variables == ()
+    with pytest.raises(ValueError, match="^repeated table row: ''$"):
+        FunctionTable.parse_csv(text + ",,na\n")
+
+
+def test_table_csv_rows_take_enumeration_order_whatever_order_they_arrive_in():
+    rows = ['"a=x,b=x",0000,yes\n', '"a=x,b=1",0100,no\n', '"a=1,b=x",1000,no\n', '"a=0,b=0",0011,yes\n']
+    ordered = FunctionTable.parse_csv("assignment,bits,outcome\n" + "".join(rows))
+    for shuffled in (rows[::-1], rows[2:] + rows[:2], [rows[1], rows[3], rows[0], rows[2]]):
+        table = FunctionTable.parse_csv("assignment,bits,outcome\n" + "".join(shuffled))
+        assert table == ordered and list(table.rows) == list(ordered.rows)
+        assert table.format_csv() == ordered.format_csv() == "assignment,bits,outcome\n" + "".join(rows)
+
+
+def test_evaluators_and_tabulate_never_sort(sort_counter):
+    for seed in range(20):
+        text = format_propagator(random_propagator(seed, max_vars=5, max_clauses=8, max_inputs=3))
+        sort_counter.clear()
+        prop = parse_propagator(text)
+        nu = propagator_to_nu(prop)
+        for a in iter_assignments(prop.inputs):
+            eval_filtering(prop, a), eval_nu(nu, a)
+            try:
+                eval_matching(prop, a)
+            except MatchingProtocolError:
+                pass
+        tabulate(prop), tabulate(Propagator(restrict(prop.formula, [prop.output]), prop.inputs, prop.output))
+        assert sort_counter == []
+
+
+def test_matchings_to_filtering_sorts_only_the_readers_it_mirrors(sort_counter):
+    for seed in range(20):
+        prop = random_propagator(seed, max_vars=5, max_clauses=8, max_inputs=3)
+        # fresh copies, not yet in canonical order
+        readers = [Propagator(parse_dimacs(format_dimacs(p.formula)), p.inputs, p.output)
+                   for p in filtering_to_matchings(prop)]
+        sort_counter.clear()
+        matchings_to_filtering(*readers)
+        assert len(sort_counter) == sum(len(p.formula) for p in readers)
 
 
 def test_mixed_table_rejected():

@@ -160,6 +160,24 @@ def test_check_monotone_falls_back_on_tables_with_holes():
     assert violation.outcomes == (Matching.YES, Matching.NO)
 
 
+# a=x,b=1 comes before a=1,b=x in the enumeration: J={b} is the first minimal violation
+TIED_CSV = 'assignment,bits,outcome\n"a=x,b=x",0000,yes\n"a=x,b=1",0100,no\n"a=1,b=x",1000,no\n'
+
+
+def test_check_monotone_ties_follow_the_enumeration_whatever_the_row_order():
+    lines = TIED_CSV.splitlines(keepends=True)
+    forward = FunctionTable.parse_csv(TIED_CSV)
+    backward = FunctionTable.parse_csv(lines[0] + "".join(lines[:0:-1]))
+    assert forward == backward and backward.format_csv() == TIED_CSV
+    # built by hand in reverse order, as no reader of a file gives it
+    by_hand = FunctionTable(forward.variables, dict(reversed(forward.rows.items())), names=forward.names)
+    assert list(by_hand.rows) != list(forward.rows)
+    for table in (forward, backward, by_hand):
+        for scan in (check_monotone, verify._check_monotone_pairs):
+            violation = scan(table)
+            assert violation.render(table.names) == "monotonicity-violation I={} J={b} outcomes=yes/no"
+
+
 def test_check_monotone_rejects_filtering_tables():
     table = FunctionTable((1,), {fs(): Filtering.NA})
     with pytest.raises(ValueError):
