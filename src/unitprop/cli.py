@@ -149,12 +149,11 @@ def cmd_check_monotone(args) -> int:
         table = FunctionTable.parse_csv(text)
     else:
         table = tabulate(parse_propagator(text))
-    names = table.names
     violation = check_monotone(table.as_matching())
     if violation is None:
         print("PASS monotone")
         return 0
-    print(violation.render(names))
+    print(violation.render(table.names))
     return 1
 
 

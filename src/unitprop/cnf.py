@@ -482,11 +482,6 @@ class Lanes(NamedTuple):
     masks: dict[Lit, int]
     fail: int
 
-    def bits(self, mask: int) -> str:
-        """``mask`` as one ``0``/``1`` character per lane, lane 0 first."""
-        # one string conversion: reading lane by lane with shifts is quadratic
-        return format(mask, f"0{3 ** len(self.order)}b")[::-1]
-
 
 def indicator_lanes(order: tuple[int, ...]) -> dict[Lit, int]:
     """Lane mask of each literal over ``order``: the lanes whose assignment contains it.

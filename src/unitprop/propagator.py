@@ -15,7 +15,10 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from itertools import chain, product
+from operator import or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cnf import (
     CnfFormula,
@@ -24,7 +27,7 @@ from .cnf import (
     _clashes,
     _propagate,
     as_literals,
-    assignment_literals,
+    enumeration_order,
     format_dimacs,
     lit_key,
     parse_dimacs,
@@ -329,33 +332,91 @@ def parse_assignment(text: str, variables: Iterable[int],
     return PartialAssignment(lits, universe=universe)
 
 
-class FunctionTable:
-    """Explicit map from every consistent input assignment to an outcome.
+def _lane_cells(labels: Sequence[str]) -> Callable[[int], tuple[str, str]]:
+    """``cell(i)``: lane ``i``'s (assignment, bits) CSV cells over columns ``labels``, joined from
+    each half's product of per-variable tokens: a few concatenations, not a join per column."""
+    def half(part):
+        cells = [("", "", "")]
+        for label in part:  # value, positive indicator bit, negative indicator bit
+            cells = [((a and a + ",") + label + "=" + value, p + pos, n + neg)
+                     for a, p, n in cells for value, pos, neg in ("x00", "110", "001")]
+        return cells
 
-    Rows are keyed by the assignment's literal set and kept in the order
-    given: enumeration order from :func:`tabulate` and :meth:`parse_csv`.
-    Values are uniformly :class:`Filtering` or :class:`Matching`.
+    mid = len(labels) // 2
+    high, low, sep = half(labels[:mid]), half(labels[mid:]), "," if mid else ""
+
+    def cell(lane: int) -> tuple[str, str]:
+        (a, p, n), (b, q, m) = high[lane // len(low)], low[lane % len(low)]
+        return a + sep + b, p + q + n + m
+    return cell
+
+
+_CODES = (*Filtering, *Matching)  # a lane's outcome code is 1 + its place here, 0 a hole
+_CODE_OF = {value: code for code, value in enumerate(_CODES, 1)}
+_ONES = {value: bytes(48 + (byte == code) for byte in range(256)) for value, code in _CODE_OF.items()}
+
+
+def _masks_of(codes: bytearray) -> dict[object, int]:
+    """One lane mask per outcome of the table's kind, from one outcome code per lane."""
+    kinds = {type(_CODES[code - 1]) for code in set(codes) if code} or {Matching}
+    if len(kinds) > 1:
+        raise ValueError("mixed filtering and matching outcomes in one table")
+    return {value: int(codes.translate(_ONES[value])[::-1], 2) for value in kinds.pop()}
+
+
+class FunctionTable:
+    """One lane mask per outcome, all :class:`Filtering` or all :class:`Matching`.
+
+    Lane ``i`` is the ``i``-th assignment of ``variables`` in enumeration
+    order (ternary counting, first variable most significant, digits
+    unassigned / true / false), as in :class:`~unitprop.cnf.Lanes`; a lane in
+    no mask is a hole.  ``rows``, ``items()`` and ``outcome()`` read the masks
+    by literal set in enumeration order, built on first read.
     """
 
     def __init__(self, variables: Sequence[int], rows: Mapping[frozenset, object] | Iterable[tuple],
                  names: Mapping[int, str] | None = None):
-        self.variables = tuple(variables)
-        self.names = dict(names or {})
-        items = rows.items() if isinstance(rows, Mapping) else rows
-        self.rows: dict[frozenset, object] = {}
-        kinds = set()
-        for key, value in items:
+        order = tuple(variables)
+        if len(enumeration_order(order)) < len(order):  # the guard, before 3^k lanes
+            raise ValueError(f"repeated table variable: {order}")
+        codes = bytearray(3 ** len(order))
+        # a lane is the sum of its literals' digits times their columns' ternary places
+        weight = {l: d * 3 ** p for p, var in enumerate(reversed(order)) for l, d in ((var, 1), (-var, 2))}
+        for key, value in (rows.items() if isinstance(rows, Mapping) else rows):
             if not isinstance(value, (Filtering, Matching)):
                 raise ValueError(f"bad outcome: {value!r}")
-            kinds.add(type(value))
-            self.rows[frozenset(key)] = value
-        if len(kinds) > 1:
-            raise ValueError("mixed filtering and matching outcomes in one table")
-        self._kind = kinds.pop() if kinds else Matching
+            key = frozenset(key)
+            if not key <= weight.keys() or len({abs(l) for l in key}) < len(key):
+                raise ValueError(f"not an assignment of the table's variables {order}: {sorted(key)}")
+            codes[sum(map(weight.__getitem__, key))] = _CODE_OF[value]
+        self._set(order, names, _masks_of(codes))
+
+    def _set(self, variables, names, masks: dict[object, int]) -> "FunctionTable":
+        self.variables, self.names = tuple(variables), dict(names or {})
+        self._masks, self._present, self._rows = masks, reduce(or_, masks.values()), None
+        return self
+
+    @classmethod
+    def _of_masks(cls, variables, names, masks: dict[object, int]) -> "FunctionTable":
+        return cls.__new__(cls)._set(variables, names, masks)
+
+    def _outcomes(self) -> Iterator:
+        """Each lane's outcome, None on a hole, lane 0 first."""
+        width = 3 ** len(self.variables)
+        one_hot = {tuple("1" if u is v else "0" for u in self._masks): v for v in self._masks}
+        return map(one_hot.get, zip(*[format(mask, f"0{width}b")[::-1] for mask in self._masks.values()]))
+
+    @property
+    def rows(self) -> dict[frozenset, object]:
+        if self._rows is None:
+            keys = product(*[((), (var,), (-var,)) for var in self.variables])
+            self._rows = {frozenset(chain.from_iterable(key)): value
+                          for key, value in zip(keys, self._outcomes()) if value is not None}
+        return self._rows
 
     @property
     def codomain(self) -> str:
-        return "filtering" if self._kind is Filtering else "matching"
+        return "filtering" if Filtering.NA in self._masks else "matching"
 
     def outcome(self, assignment) -> object:
         return self.rows[as_literals(assignment)]
@@ -364,121 +425,109 @@ class FunctionTable:
         return self.rows.items()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._present.bit_count()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionTable):
             return NotImplemented
-        return self.variables == other.variables and self.rows == other.rows
+        return self.variables == other.variables and self._masks == other._masks  # empty tables are all matching
 
     def as_matching(self) -> "FunctionTable":
         """Matching view: drop failing rows, read true as yes."""
-        if self._kind is Matching:
-            return FunctionTable(self.variables, dict(self.rows), names=self.names)
-        rows = {key: (Matching.YES if value is Filtering.TRUE else Matching.NO)
-                for key, value in self.rows.items() if value is not Filtering.FAIL}
-        return FunctionTable(self.variables, rows, names=self.names)
+        masks = self._masks
+        if Filtering.NA in masks:
+            yes = masks[Filtering.TRUE]
+            masks = {Matching.NO: self._present & ~masks[Filtering.FAIL] & ~yes, Matching.YES: yes}
+        return self._of_masks(self.variables, self.names, dict(masks))
 
     def format_csv(self) -> str:
         import csv
 
         # a label the assignment cell cannot carry back (empty, holding a
         # separator, another variable's id, or repeated): ids for every column
-        names = self.names
-        labels = [names.get(v, str(v)) for v in self.variables]
+        labels = [self.names.get(v, str(v)) for v in self.variables]
         if len(set(labels)) != len(labels) or not all(
                 label and "," not in label and "=" not in label
                 and (label == str(v) or not label.isdigit())
                 for v, label in zip(self.variables, labels)):
-            names = {}
+            labels = [str(v) for v in self.variables]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["assignment", "bits", "outcome"])
-        for key, value in self.rows.items():
-            bits = boolean_representation(key, self.variables)
-            writer.writerow([
-                format_assignment(key, self.variables, names),
-                "".join(str(b) for b in bits),
-                str(value),
-            ])
+        cell, text = _lane_cells(labels), {v: str(v) for v in self._masks}
+        writer.writerows((*cell(lane), text[value]) for lane, value in enumerate(self._outcomes())
+                         if value is not None)
         return buf.getvalue()
 
     @classmethod
     def parse_csv(cls, text: str) -> "FunctionTable":
+        """Read a table; a row that is the next lane's cells is taken without parsing its tokens."""
         import csv
 
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if not header or header[0] != "assignment":
             raise ValueError("missing table header")
-        variables: tuple[int, ...] | None = None
-        names: dict[int, str] = {}
-        by_name: dict[str, int] = {}
-        rows: dict[int, tuple[frozenset, object]] = {}  # by place in the enumeration
+        columns, lane = None, 0
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
                 raise ValueError(f"table row needs 3 columns, got {len(row)}: {','.join(row)!r}")
-            # an empty cell is the one assignment of a table without variables
-            tokens = [t.partition("=") for t in row[0].split(",")] if row[0] else []
-            row_names = [name for name, _, _ in tokens]
-            if variables is None:
-                numeric = {int(name) for name in row_names if name.isdigit()}
-                if 0 in numeric:
-                    raise ValueError("table column names variable 0")
-                for name in row_names:
-                    var = int(name) if name.isdigit() else len(by_name) + 1
-                    if not name.isdigit():
-                        while var in numeric or var in names:  # taken: the next free id
-                            var += 1
-                        names[var] = name
-                    if name in by_name or var in by_name.values():
-                        raise ValueError(f"repeated table column: {name!r}")
-                    by_name[name] = var
-                variables, columns = tuple(by_name.values()), list(by_name)
-            elif row_names != columns:
-                raise ValueError("inconsistent variable order across rows")
-            lits, rank = [], 0  # rank: ternary counting over the columns
-            for name, _, value in tokens:
-                digit = _DIGITS.get(value)
-                if digit is None:
-                    raise ValueError(f"bad assignment value: {value!r}")
-                rank = 3 * rank + digit
-                if digit:
-                    lits.append(by_name[name] if digit == 1 else -by_name[name])
+            if columns is None or lane >= len(codes) or (row[0], row[1]) != cell(lane):
+                # an empty cell is the one assignment of a table without variables
+                tokens = [t.partition("=") for t in row[0].split(",")] if row[0] else []
+                row_names = [name for name, _, _ in tokens]
+                if columns is None:
+                    numeric = {int(name) for name in row_names if name.isdigit()}
+                    if 0 in numeric:
+                        raise ValueError("table column names variable 0")
+                    names, by_name = {}, {}
+                    for name in row_names:
+                        var = int(name) if name.isdigit() else len(by_name) + 1
+                        if not name.isdigit():
+                            while var in numeric or var in names:  # taken: the next free id
+                                var += 1
+                            names[var] = name
+                        if name in by_name or var in by_name.values():
+                            raise ValueError(f"repeated table column: {name!r}")
+                        by_name[name] = var
+                    variables, columns = tuple(by_name.values()), list(by_name)
+                    cell, codes = _lane_cells(columns), bytearray(3 ** len(enumeration_order(variables)))
+                elif row_names != columns:
+                    raise ValueError("inconsistent variable order across rows")
+                lane = 0  # ternary counting over the columns
+                for _, _, value in tokens:
+                    digit = _DIGITS.get(value)
+                    if digit is None:
+                        raise ValueError(f"bad assignment value: {value!r}")
+                    lane = 3 * lane + digit
+                if row[1] != cell(lane)[1]:
+                    raise ValueError(f"bits {row[1]!r} do not match assignment {row[0]!r}")
             outcome = OUTCOMES.get(row[2])
             if outcome is None:
                 raise ValueError(f"bad outcome: {row[2]!r}")
-            if rank in rows:
+            if codes[lane]:
                 raise ValueError(f"repeated table row: {row[0]!r}")
-            rows[rank] = frozenset(lits), outcome
-        if variables is None:
+            codes[lane] = _CODE_OF[outcome]
+            lane += 1
+        if columns is None:
             raise ValueError("empty table")
-        return cls(variables, [rows[rank] for rank in sorted(rows)], names=names)
-
-
-# outcome of a lane from its (fail, output, negated output) bits
-_FILTERING_OF_BITS = {
-    (f, t, n): (Filtering.FAIL if f == "1" else Filtering.TRUE if t == "1"
-                else Filtering.FALSE if n == "1" else Filtering.NA)
-    for f in "01" for t in "01" for n in "01"
-}
+        return cls._of_masks(variables, names, _masks_of(codes))
 
 
 def tabulate(prop: Propagator) -> FunctionTable:
     """Materialize the filtering function on all 3^|inputs| assignments.
 
-    One bit-parallel propagation pass covers every row; each row equals
-    :func:`eval_filtering` on its assignment (held against it in the tests).
+    One bit-parallel propagation pass gives the table's lane masks; each row
+    equals :func:`eval_filtering` on its assignment (held against it in the tests).
     """
     lanes = propagate_lanes(prop.formula, prop.inputs)
-    outcomes = map(_FILTERING_OF_BITS.get, zip(
-        lanes.bits(lanes.fail),
-        lanes.bits(lanes.masks.get(prop.output, 0)),
-        lanes.bits(lanes.masks.get(-prop.output, 0))))
-    return FunctionTable(lanes.order, zip(assignment_literals(lanes.order), outcomes),
-                         names=prop.formula.names)
+    true = lanes.masks.get(prop.output, 0) & ~lanes.fail
+    false = lanes.masks.get(-prop.output, 0) & ~lanes.fail  # a lane with both fails
+    na = ((1 << 3 ** len(lanes.order)) - 1) & ~(lanes.fail | true | false)
+    return FunctionTable._of_masks(lanes.order, prop.formula.names, {
+        Filtering.FAIL: lanes.fail, Filtering.TRUE: true, Filtering.FALSE: false, Filtering.NA: na})
 
 
 # --- propagator files ------------------------------------------------------------

@@ -220,6 +220,16 @@ def test_check_monotone_rejects_short_csv_row(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_check_monotone_rejects_bits_that_are_not_the_assignments(tmp_path, capsys):
+    path = tmp_path / "bits.csv"
+    path.write_text('assignment,bits,outcome\n"a=x,b=x",1111,yes\n"a=x,b=1",banana,no\n')
+    assert main(["check-monotone", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: bits '1111' do not match assignment 'a=x,b=x'\n")
+    path.write_text('assignment,bits,outcome\n"a=x,b=1",banana,no\n"a=x,b=x",0000,yes\n')
+    assert main(["check-monotone", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: bits 'banana' do not match assignment 'a=x,b=1'\n")
+
+
 def test_check_monotone_keeps_a_named_column_apart_from_a_numeric_one(tmp_path, capsys):
     # no exactly where variable 2 is true; c would collide with 2 if given id 2
     rows = {a.literals: Matching.NO if 2 in a.literals else Matching.YES

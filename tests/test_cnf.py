@@ -577,10 +577,11 @@ def test_indicator_lanes_mark_each_assignment():
 def lane_rows(formula, variables):
     """Per assignment: (fails, derived literals) read off propagate_lanes."""
     lanes = propagate_lanes(formula, variables)
-    fail = lanes.bits(lanes.fail)
+    bits = lambda mask: format(mask, f"0{3 ** len(lanes.order)}b")[::-1]  # lane 0 first
+    fail = bits(lanes.fail)
     derived = [set() for _ in fail]
     for lit, mask in lanes.masks.items():
-        for lane, bit in enumerate(lanes.bits(mask)):
+        for lane, bit in enumerate(bits(mask)):
             if bit == "1":
                 derived[lane].add(lit)
     return [(f == "1", d) for f, d in zip(fail, derived)]
@@ -673,14 +674,14 @@ def test_propagate_lanes_edge_cases(clauses, variables):
 
 def test_propagate_lanes_keeps_empty_clause_semantics():
     lanes = propagate_lanes(F([]), [])
-    assert lanes.fail == 0 and lanes.bits(lanes.fail) == "0"
+    assert lanes.order == () and lanes.fail == 0  # the one lane does not fail
     assert not propagate_staged(F([])).is_bottom
 
 
 def test_propagate_lanes_one_lane_without_inputs():
     lanes = propagate_lanes(F([3], [-3, 4]), [])
     assert lanes.order == ()
-    assert lanes.bits(lanes.masks[4]) == "1"
+    assert lanes.masks[4] == 1  # set on the one lane
     assert lanes.fail == 0
 
 

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import unitprop.propagator as propagator
+import unitprop.translate as translate
 from unitprop.cnf import (
     CnfFormula,
     PartialAssignment,
@@ -462,6 +464,8 @@ def test_table_csv_round_trips_a_table_without_inputs():
     assert FunctionTable.parse_csv(text).variables == ()
     with pytest.raises(ValueError, match="^repeated table row: ''$"):
         FunctionTable.parse_csv(text + ",,na\n")
+    with pytest.raises(ValueError, match="^bits '0' do not match assignment ''$"):
+        FunctionTable.parse_csv("assignment,bits,outcome\n,0,true\n")
 
 
 def test_table_csv_rows_take_enumeration_order_whatever_order_they_arrive_in():
@@ -471,6 +475,122 @@ def test_table_csv_rows_take_enumeration_order_whatever_order_they_arrive_in():
         table = FunctionTable.parse_csv("assignment,bits,outcome\n" + "".join(shuffled))
         assert table == ordered and list(table.rows) == list(ordered.rows)
         assert table.format_csv() == ordered.format_csv() == "assignment,bits,outcome\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("text", [
+    '"a=x,b=x",1111,yes\n"a=x,b=1",banana,no\n',   # the first row, in order
+    '"a=x,b=x",0000,yes\n"a=x,b=1",banana,no\n',   # a later row, in order
+    '"a=x,b=1",0100,no\n"a=x,b=x",1111,yes\n',     # a row out of order
+    '"a=x,b=1",0100,no\n"a=1,b=x",0100,no\n',      # another row's bits
+])
+def test_table_csv_rejects_bits_that_are_not_the_assignments(text):
+    with pytest.raises(ValueError, match="^bits '[^']*' do not match assignment 'a=[x1],b=[x1]'$"):
+        FunctionTable.parse_csv("assignment,bits,outcome\n" + text)
+
+
+@pytest.mark.parametrize("rows", [
+    {fs({1, -1}): Matching.NO, fs(): Matching.YES},   # a clashing pair
+    {fs({3}): Matching.YES},                           # a variable outside the order
+    {fs({-3, 1}): Filtering.NA},
+])
+def test_table_rejects_rows_that_are_not_assignments_of_its_variables(rows):
+    with pytest.raises(ValueError, match="^not an assignment of the table's variables"):
+        FunctionTable((1, 2), rows)
+
+
+def test_table_refuses_repeated_variables_and_more_than_the_enumeration_limit():
+    with pytest.raises(ValueError, match="^repeated table variable"):
+        FunctionTable((1, 1), {fs(): Matching.NO})
+    with pytest.raises(ValueError, match="^refusing to enumerate over 13 variables"):
+        FunctionTable(range(1, 14), {fs(): Matching.NO})
+    cell = ",".join(f"v{i}=x" for i in range(13))
+    with pytest.raises(ValueError, match="^refusing to enumerate over 13 variables"):
+        FunctionTable.parse_csv(f'assignment,bits,outcome\n"{cell}",{"0" * 26},no\n')
+
+
+def test_lane_cells_are_the_per_row_assignment_and_bits():
+    for k in range(5):
+        order, labels = tuple(range(3, 3 + k)), [f"v{i}" for i in range(k)]
+        names = dict(zip(order, labels))
+        cell = propagator._lane_cells(labels)
+        for lane, a in enumerate(iter_assignments(order)):
+            bits = "".join(map(str, boolean_representation(a, order)))
+            assert cell(lane) == (format_assignment(a, order, names), bits)
+
+
+def _named_tables():
+    """Tabulated random propagators with labels that need quoting, and with holes made by hand."""
+    for seed in range(30):
+        prop = random_propagator(52_000 + seed, max_vars=6, max_clauses=10, max_inputs=4)
+        names = {v: (f'x"{v}' if seed % 2 else f"y {v}") for v in prop.formula.variables}
+        table = tabulate(Propagator(F(*prop.formula.clauses, names=names), prop.inputs, prop.output))
+        yield table
+        rng = random.Random(seed)
+        holed = FunctionTable(table.variables[::-1], {k: v for k, v in table.items() if rng.random() < 0.7},
+                              names=names)
+        if len(holed):  # a table without rows has no CSV to read back
+            yield holed
+
+
+def test_table_csv_parses_shuffled_and_crlf_text_as_in_order_text():
+    rng = random.Random(77)
+    for table in _named_tables():
+        text = table.format_csv()
+        header, *rows = text.splitlines(keepends=True)
+        ordered = FunctionTable.parse_csv(text)
+        assert len(ordered) == len(table) and ordered.format_csv() == text
+        partly = list(rows)
+        for _ in range(2):
+            i = rng.randrange(len(partly))
+            partly.insert(rng.randrange(len(partly)), partly.pop(i))
+        for variant in (rng.sample(rows, len(rows)), partly, rows[::-1]):
+            for lines in (variant, [r.replace("\n", "\r\n") for r in variant]):
+                parsed = FunctionTable.parse_csv(header + "".join(lines))
+                assert parsed == ordered and list(parsed.items()) == list(ordered.items())
+                assert parsed.names == ordered.names and parsed.format_csv() == text
+
+
+def test_table_views_match_the_scalar_evaluators():
+    for seed in range(60):
+        prop = random_propagator(53_000 + seed, max_vars=5, max_clauses=8, max_inputs=3, horn=seed % 2 == 1)
+        table, scalar = tabulate(prop), scalar_table(prop)
+        assert table.rows == scalar and list(table.rows) == list(scalar)
+        assert all(table.outcome(a) is scalar[a.literals] for a in iter_assignments(prop.inputs))
+        matching = table.as_matching()
+        assert dict(matching.items()) == {lits: Matching(value is Filtering.TRUE)
+                                          for lits, value in scalar.items() if value is not Filtering.FAIL}
+        assert len(matching) == len(matching.rows) and len(table) == len(scalar)
+        assert FunctionTable.parse_csv(table.format_csv()).rows == scalar
+
+
+def test_table_hot_path_builds_no_rows_and_parses_one_row_by_tokens(monkeypatch):
+    import unitprop.verify as verify
+
+    props = [translate.circuit_to_propagator(verify.random_monotone_circuit(12, 12, seed=s)) for s in range(2)]
+    props.append(OR_READER)
+
+    def no_rows(self):
+        raise AssertionError("rows view built")
+
+    class CountedDigits(dict):
+        def get(self, value):
+            tokens.append(value)
+            return super().get(value)
+
+    tokens, frozensets = [], []
+    monkeypatch.setattr(FunctionTable, "rows", property(no_rows))
+    monkeypatch.setattr(propagator, "_DIGITS", CountedDigits(propagator._DIGITS))
+    monkeypatch.setattr(propagator, "frozenset", lambda *a: frozensets.append(a) or fs(*a), raising=False)
+    for prop in props:
+        table = tabulate(prop)
+        parsed = FunctionTable.parse_csv(table.format_csv())
+        matching = parsed.as_matching()
+        assert parsed == table and len(matching) == len(table) == 3 ** len(prop.inputs)
+        assert matching == table.as_matching() and verify.check_monotone(matching) is None
+        # only the first row is read token by token, for its column names
+        assert tokens == ["x"] * len(prop.inputs)
+        tokens.clear()
+    assert frozensets == []
 
 
 def test_evaluators_and_tabulate_never_sort(sort_counter):

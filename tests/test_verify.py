@@ -20,6 +20,7 @@ from unitprop.propagator import (
     reify_propagator,
     tabulate,
 )
+from unitprop.translate import circuit_to_propagator
 from unitprop.verify import (
     SUITES,
     Counterexample,
@@ -142,6 +143,25 @@ def test_check_monotone_cover_scan_matches_pair_scan(monkeypatch):
     assert [check_monotone(t) for t in tables] == expected
 
 
+def test_check_monotone_mask_scan_matches_pair_scan(monkeypatch):
+    rng = random.Random(6161)
+    tables = [random_monotone_table(rng.randint(0, 4), seed=rng.getrandbits(32)) for _ in range(40)]
+    assert all(check_monotone(t) is None for t in tables)
+    for _ in range(120):  # in a shuffled variable order, and some with holes
+        table = random_matching_table(rng, rng.randint(1, 3))
+        order = rng.sample(table.variables, len(table.variables))
+        holes = rng.choice((0, 0.1, 0.4))
+        tables.append(FunctionTable(order, {k: v for k, v in table.items() if rng.random() >= holes}))
+    for seed in range(200):
+        prop = random_propagator(7_000 + seed, max_vars=5, max_clauses=10, max_inputs=3)
+        tables.append(tabulate(prop).as_matching())
+    reference, pair_scans = verify._check_monotone_pairs, []
+    expected = [reference(t) for t in tables]
+    monkeypatch.setattr(verify, "_check_monotone_pairs", lambda t: pair_scans.append(t) or reference(t))
+    assert [check_monotone(t) for t in tables] == expected
+    assert 20 <= len(pair_scans) < 100 and sum(e is not None for e in expected) >= 50
+
+
 HOLE_CSV = (
     "assignment,bits,outcome\n"
     '"a=x,b=x",0000,yes\n'
@@ -171,11 +191,53 @@ def test_check_monotone_ties_follow_the_enumeration_whatever_the_row_order():
     assert forward == backward and backward.format_csv() == TIED_CSV
     # built by hand in reverse order, as no reader of a file gives it
     by_hand = FunctionTable(forward.variables, dict(reversed(forward.rows.items())), names=forward.names)
-    assert list(by_hand.rows) != list(forward.rows)
+    assert list(by_hand.rows) == list(forward.rows) and by_hand.format_csv() == TIED_CSV
     for table in (forward, backward, by_hand):
         for scan in (check_monotone, verify._check_monotone_pairs):
             violation = scan(table)
             assert violation.render(table.names) == "monotonicity-violation I={} J={b} outcomes=yes/no"
+
+
+TABLE_DIGEST = "2bba2e5f31d9d20841343e4d98965ee07decc387449bf55e845e67ff7a1a3751"
+
+
+def _table_corpus():
+    """Tables of random propagators under labels that need CSV quoting or fall back to ids,
+    of compiled circuits, and random matching tables, some with holes."""
+    for seed in range(40):
+        prop = random_propagator(30_000 + seed, max_vars=6, max_clauses=10, max_inputs=4,
+                                 horn=seed % 2 == 1)
+        variables = sorted(prop.formula.variables)
+        names = [{}, {v: f'q"{v}' for v in variables}, {v: f"s {v}" for v in variables},
+                 {variables[0]: "a,b"}][seed % 4]
+        yield tabulate(Propagator(CnfFormula(prop.formula.clauses, names=names), prop.inputs, prop.output))
+        rng = random.Random(seed)
+        order = tuple(variables[:4])
+        density, holes = rng.random(), 0.2 * (seed % 3 == 0)
+        yield FunctionTable(order, {a.literals: Matching(rng.random() < density)
+                                    for a in enumerate_assignments(order) if rng.random() >= holes},
+                            names=names)
+    yield tabulate(circuit_to_propagator(Circuit([], [Gate("const1", "out", ())], "out")))
+    yield tabulate(circuit_to_propagator(Circuit([], [Gate("const0", "out", ())], "out")))
+    for k, gates, count in ((1, 2, 3), (2, 5, 3), (6, 12, 2)):
+        for seed in range(count):
+            yield tabulate(circuit_to_propagator(random_monotone_circuit(2 * k, gates, seed=40_000 + seed)))
+
+
+def test_table_output_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "t.csv"
+    for table in _table_corpus():
+        text = table.format_csv()
+        violation = check_monotone(table.as_matching())
+        path.write_text(text)
+        code = main(["check-monotone", str(path)])
+        out = capsys.readouterr()
+        for part in (text, "None" if violation is None else violation.render(table.names),
+                     str(code), out.out, out.err):
+            digest.update(part.encode())
+            digest.update(b"\0")
+    assert digest.hexdigest() == TABLE_DIGEST
 
 
 def test_check_monotone_rejects_filtering_tables():
